@@ -29,7 +29,14 @@ SRC = ROOT / "src"
 
 
 def git_state() -> tuple[str | None, bool | None]:
-    """(commit, dirty flag) of the checkout, or ``None`` outside a git tree."""
+    """(commit, dirty flag) of the checkout, or ``None`` outside a git tree.
+
+    Only a ``.git`` at the checkout root counts, so git never searches the
+    directories above the checkout.
+    """
+    if not (ROOT / ".git").exists():
+        return None, None
+
     def git(*args: str) -> str | None:
         try:
             done = subprocess.run(["git", "-C", str(ROOT), *args],
@@ -38,9 +45,6 @@ def git_state() -> tuple[str | None, bool | None]:
             return None
         return done.stdout.strip() if done.returncode == 0 else None
 
-    top = git("rev-parse", "--show-toplevel")
-    if top is None or Path(top).resolve() != ROOT:
-        return None, None
     status = git("status", "--porcelain", "--untracked-files=no")
     return git("rev-parse", "HEAD"), None if status is None else bool(status)
 
