@@ -38,9 +38,11 @@ from layers import LayerTrace
 perf_counter = time.perf_counter
 
 #: a run sets up at least this many times and for at least this long;
-#: ``setup_s`` is the median
-SETUP_REPEATS = 5
+#: ``setup_s`` is the median of the fastest window of ``SETUP_WINDOW``
+#: consecutive set-ups
+SETUP_REPEATS = 6
 SETUP_SECONDS = 1.0
+SETUP_WINDOW = 3
 #: corrupted assignments per ``count_accepting_batch`` call
 CHUNK = 16
 #: process-pool width of the fanout workload (the CPUs it was sized on)
@@ -61,6 +63,9 @@ class Step:
     seconds: float
     #: units of work done (the ``throughput_per_s`` numerator)
     items: int
+    #: timed seconds of each part of the step; every step of a workload has
+    #: the same parts in the same order
+    parts: tuple[float, ...]
 
 
 def seeded_mesh(n: int, seed: int) -> Network:
@@ -114,6 +119,8 @@ class Certify:
     """Theorem 1 end to end: prove a mesh, then verify it on a cold engine."""
 
     name = "certify"
+    #: an operation is the whole step
+    window_ops = None
 
     def __init__(self, seed: int, n: int = 5000) -> None:
         self.seed = seed
@@ -145,7 +152,8 @@ class Certify:
         self.verify_seconds.append(end - proved)
         self.accept_all.append(all(result.decisions.values()))
         self.digests.append(decisions_digest(network, result.decisions))
-        return Step((end - start,), end - start, network.size)
+        return Step((end - start,), end - start, network.size,
+                    (proved - start, end - proved))
 
     def check(self, state: tuple) -> tuple[int, int]:
         graph, ids = state
@@ -177,6 +185,7 @@ class AttackSweep:
     """
 
     name = "attack-sweep"
+    window_ops = None
 
     def __init__(self, seed: int, sizes: tuple[int, ...] = SWEEP_SIZES) -> None:
         self.seed = seed
@@ -206,15 +215,19 @@ class AttackSweep:
         engine, scheme, cells = state
         trials = range(self.rounds * CHUNK, (self.rounds + 1) * CHUNK)
         self.rounds += 1
+        counts: list[list[int]] = []
+        parts: list[float] = []
         with trace:
-            start = perf_counter()
-            counts = [decide_trials(engine, scheme, network, certificates,
-                                    strategy, seed, trials)
-                      for network, certificates, strategy, seed in cells]
-            seconds = perf_counter() - start
+            for network, certificates, strategy, seed in cells:
+                start = perf_counter()
+                counts.append(decide_trials(engine, scheme, network,
+                                            certificates, strategy, seed,
+                                            trials))
+                parts.append(perf_counter() - start)
         for kept, new in zip(self.counts, counts):
             kept.extend(new)
-        return Step((seconds,), seconds, CHUNK * len(cells))
+        seconds = sum(parts)
+        return Step((seconds,), seconds, CHUNK * len(cells), tuple(parts))
 
     def check(self, state: tuple) -> tuple[int, int]:
         # trial 0 of every cell is the fixed sample the reference re-decides
@@ -306,6 +319,8 @@ class Churn:
     """
 
     name = "churn"
+    #: about a quarter of a second of edge events
+    window_ops = 20
 
     def __init__(self, seed: int, n: int = 2000, block: int = 50,
                  audit_every: int = 10, digest_every: int = 4,
@@ -339,7 +354,7 @@ class Churn:
     def step(self, state: ChurnState, trace: Any) -> Step:
         block = self.sizes["cycles_per_step"]
         latencies: list[float] = []
-        seconds = 0.0
+        parts: list[float] = []
         for cycle in range(1, block + 1):
             if cycle == block:
                 kind = "miswire"
@@ -351,12 +366,12 @@ class Churn:
             cycle_latencies, cycle_seconds = self._cycle(state, trace, kind,
                                                          audit)
             latencies += cycle_latencies
-            seconds += cycle_seconds
+            parts.append(cycle_seconds)
         self.blocks += 1
         if self.blocks % self.sizes["digest_every_steps"] == 0:
             self._digest_check(state)
         self.event_seconds += latencies
-        return Step(tuple(latencies), seconds, 2 * block)
+        return Step(tuple(latencies), sum(parts), 2 * block, tuple(parts))
 
     def _cycle(self, state: ChurnState, trace: Any, kind: str,
                audit: bool) -> tuple[list[float], float]:
@@ -466,6 +481,7 @@ class Fanout:
     """
 
     name = "fanout"
+    window_ops = None
 
     def __init__(self, seed: int, sizes: tuple[int, ...] = SWEEP_SIZES,
                  trials: int = CHUNK) -> None:
@@ -534,7 +550,7 @@ class Fanout:
                               returned - called - max(busy.values()))
             trace.count("spec_bytes", len(pickle.dumps(specs)))
         items = len(specs) * self.sizes["trials_per_cell"]
-        return Step((end - start,), end - start, items)
+        return Step((end - start,), end - start, items, (end - start,))
 
     def check(self, state: tuple) -> tuple[int, int]:
         exporter, networks = state
@@ -593,6 +609,32 @@ def measure(workload: Any, state: Any, seconds: float, trace: Any,
     return steps
 
 
+def quietest_window(latencies: list[float], size: int) -> float:
+    """Median latency of the fastest window of ``size`` consecutive operations.
+
+    The machine is shared: for seconds at a time a neighbour slows every
+    instruction of this process by up to 70 %, in CPU time as much as in
+    wall time, so a median over the whole run follows how much of the run
+    such bursts covered.  A window is a few tenths of a second to a few
+    seconds of the same mix of operations, and the fastest one reads the
+    program on a quiet machine as long as one window of the run was quiet.
+    """
+    if len(latencies) <= size:
+        return statistics.median(latencies)
+    return min(statistics.median(latencies[first:first + size])
+               for first in range(0, len(latencies) - size + 1, size))
+
+
+def quietest_step_seconds(steps: list[Step]) -> float:
+    """Seconds of one step with each of its parts at its fastest in the run.
+
+    Parts are a tenth of a second to a second long, so a quiet stretch of
+    a second or two somewhere in the run times a part quietly even where no
+    whole step was quiet.
+    """
+    return sum(min(part) for part in zip(*(step.parts for step in steps)))
+
+
 @dataclass
 class Result:
     workload: Any
@@ -606,8 +648,9 @@ def run(name: str, seed: int, seconds: float, trace: bool,
         max_steps: int | None = None, **params: Any) -> Result:
     """Set up, measure and check one workload.
 
-    Untraced, the metrics are the end-to-end ones.  Traced, the first half
-    of the time runs untraced and the second half under a
+    One untimed step warms the caches of the last set-up before anything
+    is measured.  Untraced, the metrics are the end-to-end ones.  Traced,
+    the first half of the time runs untraced and the second half under a
     :class:`~layers.LayerTrace`; the metrics are the per-layer ones, with
     the two halves' cost per unit of work giving the tracing overhead.
     """
@@ -618,6 +661,8 @@ def run(name: str, seed: int, seconds: float, trace: bool,
         start = perf_counter()
         state = workload.setup()
         setup_seconds.append(perf_counter() - start)
+    gc.collect()
+    workload.step(state, nullcontext())
     missing: list[str] = []
     if trace:
         plain = measure(workload, state, seconds / 2, nullcontext(), max_steps)
@@ -627,13 +672,18 @@ def run(name: str, seed: int, seconds: float, trace: bool,
         missing = layer_trace.missing
     else:
         steps = measure(workload, state, seconds, nullcontext(), max_steps)
-        latencies = [latency for step in steps for latency in step.latencies]
+        step_seconds = quietest_step_seconds(steps)
+        if workload.window_ops is None:
+            op_seconds = step_seconds
+        else:
+            op_seconds = quietest_window(
+                [latency for step in steps for latency in step.latencies],
+                workload.window_ops)
         metrics = {
-            "setup_s": (statistics.median(setup_seconds), "s"),
+            "setup_s": (quietest_window(setup_seconds, SETUP_WINDOW), "s"),
             "peak_rss_mib": (peak_rss_mib(), "MiB"),
-            "op_ms_p50": (1e3 * statistics.median(latencies), "ms"),
-            "throughput_per_s": (statistics.median(
-                step.items / step.seconds for step in steps), "1/s"),
+            "op_ms_p50": (1e3 * op_seconds, "ms"),
+            "throughput_per_s": (steps[0].items / step_seconds, "1/s"),
         }
     attempted, failed = workload.check(state)
     return Result(workload, metrics, attempted, failed, missing)
@@ -696,7 +746,7 @@ def layer_metrics(trace: LayerTrace, traced: list[Step],
     fallback_nodes = counts.get("fallback_nodes", 0)
     events = calls.get("dynamic.apply", 0)
     pool_calls = calls.get("distributed.run_trials", 0)
-    cost = [statistics.median(step.seconds / step.items for step in steps)
+    cost = [quietest_step_seconds(steps) / steps[0].items
             for steps in (traced, plain)]
     values = {
         "graphs.embedding_share": share("graphs.embedding"),
