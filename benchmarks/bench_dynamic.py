@@ -305,8 +305,8 @@ def run_spot_check(params: dict) -> dict:
 def run_engine_section(params: dict) -> dict:
     """Warm (delta-invalidating) vs cold engine cache refresh per event.
 
-    What the engine's delta layer replaces is the wholesale
-    ``_drop_network`` on every version bump: the radius-1 structure lists
+    What the engine's delta layer replaces is starting the network's cache
+    record afresh on every version bump: the radius-1 structure lists
     and the compiled :class:`VectorContext` used to be rebuilt from scratch
     per event.  The timed quantity is therefore exactly that refresh —
     re-deriving both caches after each event — warm through the delta patch

@@ -57,13 +57,23 @@ certificate assignment out of the per-trial loop:
   take a whole list of ``(network, certificates)`` items and decide them with
   *one* kernel invocation over a
   :class:`~repro.vectorized.compiler.BatchedContext` super-CSR (cached per
-  network tuple), so a sweep or attack loop pays one compile and one array
-  pass per phase instead of one per item; items the batch cannot represent
-  (refused networks, no kernel) peel off to the per-item path, and flagged
-  nodes fall back per item exactly as in :meth:`verify`.  The interactive
-  analogue compiles the challenge-independent prepared states once
-  (:class:`~repro.vectorized.scheme_kernels.DMAMRoundKernel`) and runs every
-  challenge draw of :meth:`estimate_soundness_error` as an array round.
+  tuple of member contexts), so a sweep or attack loop pays one compile and
+  one array pass per phase instead of one per item; items the batch cannot
+  represent (refused networks, no kernel) run the reference loop, and
+  flagged nodes fall back per item exactly as in :meth:`verify`.  The
+  interactive analogue compiles the challenge-independent prepared states
+  once (:class:`~repro.vectorized.scheme_kernels.DMAMRoundKernel`) and runs
+  every challenge draw of :meth:`estimate_soundness_error` as an array
+  round.
+
+Every decision takes one path.  :meth:`verify` and :meth:`count_accepting`
+are one-item :meth:`verify_batch` / :meth:`count_accepting_batch` calls;
+one helper runs every kernel invocation (single network, batched chunk or
+dMAM round) with its span, counters and flagged-node re-decide; and one
+reference loop serves every reference pass, PLS and interactive alike.
+Everything cached about a network lives in one record, dropped whole when
+the network goes away and patched (or started afresh) when its graph
+mutates.
 
 The engine is behaviour-preserving: :meth:`verify` returns a
 :class:`~repro.distributed.verifier.VerificationResult` equal field-for-field
@@ -76,8 +86,8 @@ from __future__ import annotations
 import random
 import weakref
 from collections import OrderedDict
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.distributed.interactive import (
@@ -148,6 +158,17 @@ def _merged_certificates(assignments: Sequence[dict[Node, Any]]) -> dict:
     return merged
 
 
+def _decision_map(network: Network, accept: Any) -> dict[Node, bool]:
+    """Per-node decisions of ``network`` from an accept vector in node order."""
+    labels = network.graph.indexed().labels
+    return {label: bool(accept[i]) for i, label in enumerate(labels)}
+
+
+def _accepting(accept: Any) -> int:
+    """Accepting-node count of an accept vector (kernel array or bool list)."""
+    return int(accept.sum()) if hasattr(accept, "sum") else sum(accept)
+
+
 @dataclass(frozen=True)
 class InteractiveSoundnessEstimate:
     """Acceptance statistics of an interactive protocol over many challenge draws.
@@ -188,6 +209,100 @@ class InteractiveSoundnessEstimate:
         return sum(self.accepting_counts) / len(self.accepting_counts)
 
 
+#: marks a :attr:`_NetworkState.context` that was never compiled (``None``
+#: already means "the compiler refused this network")
+_UNSET = object()
+
+
+@dataclass(eq=False)
+class _NetworkState:
+    """Everything a :class:`SimulationEngine` caches about one network.
+
+    The engine keeps one record per live network, keyed by ``id(network)``
+    and stamped with the graph version its contents were built against.
+    Evicting a network (garbage collection, LRU eviction,
+    :meth:`SimulationEngine.clear_caches`) drops its record; a mutation of
+    the graph replaces it, by :meth:`patched` when the mutation journal
+    allows and by an empty record otherwise.
+    """
+
+    #: ``Graph._version`` the contents were built against
+    version: int
+    #: weakref whose callback evicts the record when the network is collected
+    finalizer: weakref.ref
+    #: every node's view structure, per radius
+    structures: dict[int, list[NodeStructure]] = field(default_factory=dict)
+    #: compiled :class:`~repro.vectorized.compiler.VectorContext`, ``None``
+    #: for a network the compiler refuses, or :data:`_UNSET`
+    context: Any = _UNSET
+    #: honest certificates per ``id(scheme)`` (keyed by identity, not name:
+    #: instances of the same scheme class can carry different prover state,
+    #: e.g. an explicit witness)
+    honest: dict[int, dict[Node, Any]] = field(default_factory=dict)
+    #: encoded certificate sizes of the honest assignments, per
+    #: ``id(certificates)``
+    sizes: dict[int, dict[Node, int]] = field(default_factory=dict)
+    #: honest Merlin first turns per ``id(protocol)`` (identity, as above)
+    turns: dict[int, FirstTurn] = field(default_factory=dict)
+    #: ``(prepared, compiled)`` dMAM round states, valid only for that very
+    #: ``prepared`` list, so a new first turn recompiles automatically
+    round_states: tuple[Any, Any] | None = None
+    #: cheap trace fingerprint (size, edges, identifier range)
+    fingerprint: str | None = None
+
+    def patched(self, network: Network) -> _NetworkState | None:
+        """A fresh record for ``network`` carried through its edge deltas.
+
+        Only *topology-shaped* artifacts carry over, patched for the delta
+        endpoints: the radius-1 structure list (a node's radius-1 structure
+        depends on nothing beyond its own adjacency) and the compiled
+        :class:`~repro.vectorized.compiler.VectorContext` (the patch rides
+        on the CSR patch of :meth:`IndexedGraph.patched
+        <repro.graphs.indexed.IndexedGraph.patched>`), both byte-identical
+        to a from-scratch rebuild.  *Assignment-shaped* artifacts — honest
+        certificates, size statistics, first turns, dMAM round states,
+        fingerprints, deeper-radius structures — have no bounded delta form
+        and stay behind, as does a cached refusal (an isolated node may
+        have gained an edge).
+
+        Returns ``None`` when the journal cannot vouch for the mutation
+        (truncated, node operations, or more than
+        :data:`~repro.graphs.graph.PATCH_DELTA_LIMIT` deltas) — the caller
+        then starts from an empty record, which is always safe.
+        """
+        deltas = network.graph.deltas_since(self.version)
+        if not deltas or len(deltas) > PATCH_DELTA_LIMIT or \
+                not all(delta.is_edge_op for delta in deltas):
+            return None
+        fresh = _NetworkState(network.graph._version, self.finalizer)
+        tracer = current_tracer()
+        with tracer.span("delta_compile") as sp:
+            touched: set[Node] = set()
+            for delta in deltas:
+                touched.add(delta.u)
+                touched.add(delta.v)
+            cached = self.structures.get(1)
+            if cached is not None:
+                index_of = network.graph.indexed().index_of
+                for node in touched:
+                    i = index_of.get(node)
+                    if i is None or i >= len(cached):
+                        return None
+                    cached[i] = structure_at(network, node, 1)
+                fresh.structures[1] = cached
+            if self.context is not _UNSET and self.context is not None:
+                from repro.dynamic.tables import patch_vector_context
+
+                fresh.context = patch_vector_context(self.context, network)
+            if sp:
+                sp.set(nodes=network.size, deltas=len(deltas),
+                       touched=len(touched))
+        if tracer.enabled:
+            tracer.metrics.count("delta_edges", len(deltas))
+            tracer.metrics.count("delta_nodes", len(touched))
+        return fresh
+
+
 class SimulationEngine:
     """Batched prover/verifier simulation with structural and prover caches.
 
@@ -218,12 +333,14 @@ class SimulationEngine:
         :func:`~repro.distributed.registry.default_registry`.
     stream_node_threshold:
         Node count from which the per-node view paths *stream* instead of
-        caching: the reference loop and the vectorized exactness fallback
-        consume :func:`~repro.distributed.views.iter_structures` /
-        :func:`~repro.distributed.views.structure_at` rather than the cached
-        whole-graph structure list, so a million-node verification never
-        holds every node's ball graph at once.  Below the threshold the
-        cached list stays strictly better (sweeps revisit it per trial).
+        caching: every reference pass (:meth:`verify`,
+        :meth:`count_accepting`, both interactive rounds and
+        :meth:`interactive_prepared`) and every re-decide of a kernel's
+        flagged nodes consume :func:`~repro.distributed.views.iter_structures`
+        / :func:`~repro.distributed.views.structure_at` rather than the
+        cached whole-graph structure list, so a million-node verification
+        never holds every node's ball graph at once.  Below the threshold
+        the cached list stays strictly better (sweeps revisit it per trial).
     """
 
     def __init__(self, workers: int = 1, seed: int | None = None,
@@ -249,172 +366,58 @@ class SimulationEngine:
         for name in _BACKEND_COUNTER_KEYS:
             self.metrics.counters[name] = 0
         self._backend_counters = self.metrics.counters
-        # structural views per network: id(network) -> {radius: [NodeStructure]}
-        self._structures: dict[int, dict[int, list[NodeStructure]]] = {}
-        # honest certificates per network: id(network) -> {id(scheme): certs}
-        # (keyed by scheme identity, not name: instances of the same scheme
-        # class can carry different prover state, e.g. an explicit witness)
-        self._prover_cache: dict[int, dict[int, dict[Node, Any]]] = {}
-        # encoded certificate sizes of honest assignments:
-        # id(network) -> {id(certificates): sizes}
-        self._stats_cache: dict[int, dict[int, dict[Node, int]]] = {}
-        # honest Merlin first turns per network: id(network) -> {id(protocol): FirstTurn}
-        # (keyed by protocol identity for the same reason as the prover cache)
-        self._first_turns: dict[int, dict[int, FirstTurn]] = {}
-        # compiled VectorContext (or None for refused networks) per network:
-        # id(network) -> VectorContext | None
-        self._vector_contexts: dict[int, Any] = {}
-        # bounded LRU of batched super-CSRs, keyed by the tuple of member
-        # network keys (a batch is only reusable for the exact same item list)
-        self._batched_contexts: OrderedDict[tuple[int, ...], Any] = OrderedDict()
-        # compiled dMAM prepared states: id(network) -> (prepared, compiled);
-        # validated by identity against the caller's prepared list, so a new
-        # first turn (new prepared states) recompiles automatically
-        self._dmam_compiled: dict[int, tuple[Any, Any]] = {}
-        # cheap per-network trace fingerprints: id(network) -> str
-        self._fingerprints: dict[int, str] = {}
-        # graph mutation counter observed when a network's caches were built:
-        # id(network) -> Graph._version
-        self._versions: dict[int, int] = {}
+        # one cache record per tracked network: id(network) -> _NetworkState
+        self._states: dict[int, _NetworkState] = {}
+        # bounded LRU of batched super-CSRs, keyed by the identities of the
+        # member VectorContexts, which each entry keeps alive (so a key can
+        # never alias): a mutated or evicted member gets a new context, so
+        # its stale batches never match again and age out of the LRU
+        self._batched_contexts: OrderedDict[tuple[int, ...], tuple[list, Any]] = OrderedDict()
         # bounded LRU of engine-built networks, keyed by (id(graph), seed),
         # each entry stamped with the graph version it was built against;
         # seed=None requests are never cached (fresh random ids per call)
         self._networks: OrderedDict[tuple[int, int], tuple[int, Network]] = OrderedDict()
-        # weakrefs that evict the id-keyed entries above when the caller's
-        # own networks/schemes are garbage-collected
-        self._finalizers: dict[int, weakref.ref] = {}
+        # weakrefs that evict a scheme's or protocol's cached artifacts from
+        # every record when the caller's scheme/protocol is garbage-collected
+        self._owners: dict[int, weakref.ref] = {}
 
     # ------------------------------------------------------------------
     # caches
     # ------------------------------------------------------------------
-    def _drop_network(self, key: int, *, keep_tracking: bool = False) -> None:
-        """Evict every per-network cache entry keyed by ``id(network)``.
+    def _state(self, network: Network) -> _NetworkState:
+        """Return the cache record of ``network``, current with its graph.
 
-        This is the single place that knows which caches hang off a network
-        — weakref finalizers, graph-version invalidation, LRU eviction, and
-        :meth:`clear_caches` all funnel through it, so a newly added
-        per-network cache only needs to be dropped here.  ``keep_tracking``
-        preserves the weakref finalizer and version stamp for a network that
-        stays live (version invalidation: the caches are stale, the network
-        is not).
+        The first request tracks the network with a weakref whose callback
+        evicts the record.  A mutation of the underlying graph (detected
+        through the same counter that guards :meth:`Graph.indexed`) makes
+        the record stale at once: a small batch of edge-only deltas patches
+        it (:meth:`_NetworkState.patched`), anything else starts it afresh.
         """
-        self._structures.pop(key, None)
-        self._prover_cache.pop(key, None)
-        self._stats_cache.pop(key, None)
-        self._first_turns.pop(key, None)
-        self._vector_contexts.pop(key, None)
-        self._dmam_compiled.pop(key, None)
-        self._fingerprints.pop(key, None)
-        if self._batched_contexts:
-            for batch_key in [k for k in self._batched_contexts if key in k]:
-                del self._batched_contexts[batch_key]
-        if not keep_tracking:
-            self._versions.pop(key, None)
-            self._finalizers.pop(key, None)
+        key = id(network)
+        version = network.graph._version
+        state = self._states.get(key)
+        if state is None:
+            finalizer = weakref.ref(network, lambda _ref: self._drop_network(key))
+            state = self._states[key] = _NetworkState(version, finalizer)
+        elif state.version != version:
+            state = self._states[key] = (state.patched(network)
+                                         or _NetworkState(version, state.finalizer))
+        return state
+
+    def _drop_network(self, key: int) -> None:
+        """Evict everything cached about the network with ``id(network) == key``.
+
+        Batched contexts need no eviction here: they are keyed by member
+        context identity (see :meth:`_batched_context`).
+        """
+        self._states.pop(key, None)
 
     def clear_caches(self) -> None:
         """Drop every cached structure, prover artifact, and network."""
-        for key in list(self._versions):
-            self._drop_network(key)
+        self._states.clear()
         self._networks.clear()
         self._batched_contexts.clear()
-        self._dmam_compiled.clear()
-        # remaining finalizers (schemes, untracked stragglers) go wholesale
-        self._finalizers.clear()
-
-    def _network_key(self, network: Network) -> int:
-        """Track ``network`` and invalidate its caches if its graph mutated.
-
-        The structural views, prover artifacts, and size statistics are all
-        functions of the network's topology; a mutation of the underlying
-        graph (detected through the same counter that guards
-        :meth:`Graph.indexed`) makes them stale at once.  For a small batch
-        of edge-only deltas the expensive caches are *patched* rather than
-        dropped (:meth:`_delta_invalidate`); everything else falls back to
-        the wholesale drop.
-        """
-        key = id(network)
-        if key not in self._finalizers:
-            def _evict(_ref: weakref.ref, key: int = key) -> None:
-                self._drop_network(key)
-            self._finalizers[key] = weakref.ref(network, _evict)
-        version = network.graph._version
-        old = self._versions.get(key, version)
-        if old != version and not self._delta_invalidate(key, network, old):
-            self._drop_network(key, keep_tracking=True)
-        self._versions[key] = version
-        return key
-
-    def _delta_invalidate(self, key: int, network: Network,
-                          old_version: int) -> bool:
-        """Patch the per-network caches through a batch of edge deltas.
-
-        The caches divide into two classes.  *Topology-shaped* artifacts —
-        the radius-1 structure list and the compiled
-        :class:`~repro.vectorized.compiler.VectorContext` — are patched in
-        place for the delta endpoints only (the radius-1 structure of a node
-        depends on nothing beyond its own adjacency, and the context patch
-        rides on the CSR patch of :meth:`IndexedGraph.patched
-        <repro.graphs.indexed.IndexedGraph.patched>`), byte-identical to a
-        from-scratch rebuild.  *Assignment-shaped* artifacts — honest
-        certificates, size statistics, fingerprints, dMAM compilations,
-        deeper-radius structures — have no bounded delta form and are
-        evicted exactly as the wholesale path would.
-
-        Returns ``False`` when the journal cannot vouch for the mutation
-        (truncated, node operations, or more than
-        :data:`~repro.graphs.graph.PATCH_DELTA_LIMIT` deltas) — the caller
-        then drops everything, which is always safe.
-        """
-        deltas = network.graph.deltas_since(old_version)
-        if not deltas or len(deltas) > PATCH_DELTA_LIMIT or \
-                not all(delta.is_edge_op for delta in deltas):
-            return False
-        tracer = current_tracer()
-        with tracer.span("delta_compile") as sp:
-            touched: set[Node] = set()
-            for delta in deltas:
-                touched.add(delta.u)
-                touched.add(delta.v)
-            per_radius = self._structures.get(key)
-            if per_radius is not None:
-                index_of = network.graph.indexed().index_of
-                for radius in list(per_radius):
-                    if radius != 1:
-                        del per_radius[radius]  # no bounded delta form
-                        continue
-                    cached = per_radius[1]
-                    for node in touched:
-                        i = index_of.get(node)
-                        if i is None or i >= len(cached):
-                            return False
-                        cached[i] = structure_at(network, node, 1)
-            ctx = self._vector_contexts.get(key)
-            if ctx is not None:
-                from repro.dynamic.tables import patch_vector_context
-
-                self._vector_contexts[key] = patch_vector_context(ctx, network)
-            elif key in self._vector_contexts:
-                # a cached refusal may no longer hold (e.g. an isolated
-                # node gained an edge): recompile on next request
-                del self._vector_contexts[key]
-            # assignment-shaped caches are certificate-dependent: evict
-            self._prover_cache.pop(key, None)
-            self._stats_cache.pop(key, None)
-            self._first_turns.pop(key, None)
-            self._dmam_compiled.pop(key, None)
-            self._fingerprints.pop(key, None)
-            if self._batched_contexts:
-                for batch_key in [k for k in self._batched_contexts
-                                  if key in k]:
-                    del self._batched_contexts[batch_key]
-            if sp:
-                sp.set(nodes=network.size, deltas=len(deltas),
-                       touched=len(touched))
-        if tracer.enabled:
-            tracer.metrics.count("delta_edges", len(deltas))
-            tracer.metrics.count("delta_nodes", len(touched))
-        return True
+        self._owners.clear()
 
     def network_for(self, graph: Graph, seed: int | None = None,
                     ids: dict[Node, int] | None = None) -> Network:
@@ -456,13 +459,30 @@ class SimulationEngine:
         Nodes appear in the network's node order (the order
         :func:`~repro.distributed.verifier.run_verification` visits them).
         """
-        key = self._network_key(network)
-        per_radius = self._structures.setdefault(key, {})
+        per_radius = self._state(network).structures
         cached = per_radius.get(radius)
         if cached is None:
             cached = self._materialize(network, radius)
             per_radius[radius] = cached
         return cached
+
+    def _structures_for(self, network: Network, radius: int,
+                        nodes: Sequence[int] | None = None,
+                        ) -> Iterable[NodeStructure]:
+        """Structures of the nodes at indices ``nodes`` (all when ``None``).
+
+        Below ``stream_node_threshold`` nodes they come from the cached
+        whole-network list; from the threshold on they are built on demand
+        (:func:`iter_structures` / :func:`structure_at`), so no whole-network
+        list is materialised or cached.
+        """
+        if network.size < self.stream_node_threshold:
+            structures = self.structures(network, radius)
+            return structures if nodes is None else [structures[i] for i in nodes]
+        if nodes is None:
+            return iter_structures(network, radius)
+        labels = network.graph.indexed().labels
+        return [structure_at(network, labels[i], radius) for i in nodes]
 
     # the batched materialisation/assembly primitives live in the shared
     # view layer (repro.distributed.views); the engine layers caching on top
@@ -487,43 +507,240 @@ class SimulationEngine:
         ``"vectorized"`` the per-node decisions come from the scheme's array
         kernel when one is registered (see the class docstring for the
         fallback rules) and are identical to the reference loop's either way.
+        This is a one-item :meth:`verify_batch`.
         """
-        radius = scheme.verification_radius
-        decisions = self._decide(scheme, network, certificates, backend)
-        return VerificationResult(
-            scheme_name=scheme.name,
-            decisions=decisions,
-            certificate_bits=self._certificate_stats(network, certificates),
-            verification_radius=radius,
-        )
+        return self.verify_batch(scheme, [(network, certificates)], backend)[0]
 
-    def _decide(self, scheme: ProofLabelingScheme, network: Network,
-                certificates: dict[Node, Any],
-                backend: str | None) -> dict[Node, bool]:
-        """Per-node decisions through the selected backend."""
-        accept = None
+    def count_accepting(self, scheme: ProofLabelingScheme, network: Network,
+                        certificates: dict[Node, Any],
+                        backend: str | None = None) -> int:
+        """Return how many nodes accept, skipping certificate-size accounting.
+
+        This is the adversary's inner loop: attacks only rank assignments by
+        the number of convinced nodes, so the bit-exact encoding pass of
+        :func:`run_verification` would be pure overhead here.  ``backend``
+        behaves as in :meth:`verify`.  This is a one-item
+        :meth:`count_accepting_batch`.
+        """
+        return self.count_accepting_batch(scheme, [(network, certificates)],
+                                          backend)[0]
+
+    def verify_batch(self, scheme: ProofLabelingScheme,
+                     network_certificates: Sequence[tuple[Network, dict[Node, Any]]],
+                     backend: str | None = None) -> list[VerificationResult]:
+        """:meth:`verify` over many ``(network, certificates)`` items at once.
+
+        Under the vectorized backend the representable items are decided with
+        one kernel invocation per batch chunk (see :meth:`_kernel_items`);
+        every other item — and every item under the reference backend — runs
+        the reference loop.  The returned results are field-for-field
+        identical to calling :meth:`verify` per item, in item order.
+        """
+        items = list(network_certificates)
+        results = []
+        for (network, certificates), accept in zip(
+                items, self._decide_items(scheme, items, backend)):
+            results.append(VerificationResult(
+                scheme_name=scheme.name,
+                decisions=_decision_map(network, accept),
+                certificate_bits=self._certificate_stats(network, certificates),
+                verification_radius=scheme.verification_radius,
+            ))
+        return results
+
+    def count_accepting_batch(self, scheme: ProofLabelingScheme,
+                              network_certificates: Sequence[tuple[Network, dict[Node, Any]]],
+                              backend: str | None = None) -> list[int]:
+        """:meth:`count_accepting` over many items, batch-compiled.
+
+        The adversary's chunked inner loop: attacks stage their candidate
+        assignments and rank them from one kernel pass instead of one call
+        per trial.  Decisions (and therefore counts) are identical to the
+        per-item method's.
+        """
+        items = list(network_certificates)
+        return [_accepting(accept)
+                for accept in self._decide_items(scheme, items, backend)]
+
+    def _decide_items(self, scheme: ProofLabelingScheme,
+                      items: Sequence[tuple[Network, dict[Node, Any]]],
+                      backend: str | None) -> list[Any]:
+        """Per-item accept vectors in node order: the one PLS decision path.
+
+        Under the vectorized backend every item with a vector context is
+        decided by the scheme's kernel (:meth:`_kernel_items`).  Every other
+        item — all of them under the reference backend — runs the reference
+        loop, after its whole-network fallback (radius > 1, no kernel, or a
+        network the compiler refuses) is counted and attributed.
+        """
+        accepts: list[Any] = [None] * len(items)
+        reason = None
         if self._resolve_backend(backend) == "vectorized":
-            accept = self._accept_vector(scheme, network, certificates)
-        radius = scheme.verification_radius
-        if accept is None:
-            verify = scheme.verify
-            view = self._view
-            streaming = network.size >= self.stream_node_threshold
-            structures = (iter_structures(network, radius) if streaming
-                          else self.structures(network, radius))
-            counters = self._backend_counters
-            counters["reference_calls"] += 1
-            counters["reference_nodes"] += network.size
-            tracer = current_tracer()
-            with tracer.span("reference_loop") as sp:
+            radius_ok = scheme.verification_radius == 1
+            kernel = self._kernel_for(scheme) if radius_ok else None
+            if not radius_ok:
+                reason = "radius"
+            elif kernel is None:
+                reason = "no_kernel"
+            else:
+                reason = "refused_network"
+                self._kernel_items(scheme, kernel, items, accepts)
+        for idx, (network, certificates) in enumerate(items):
+            if accepts[idx] is None:
+                if reason is not None:
+                    self._note_network_fallback(scheme, reason)
+                accepts[idx] = self._reference(
+                    scheme.name, network, scheme.verification_radius,
+                    self._pls_decide(scheme, certificates))
+        return accepts
+
+    def _kernel_items(self, scheme: ProofLabelingScheme, kernel: Any,
+                      items: Sequence[tuple[Network, dict[Node, Any]]],
+                      accepts: list[Any]) -> None:
+        """Fill ``accepts`` for every item that has a vector context.
+
+        The items are packed greedily, in order, into chunks of at most the
+        kernel's ``batch_node_budget`` nodes (default
+        :data:`_DEFAULT_BATCH_NODE_BUDGET`), never the compiler's ``2**31``
+        composite-key bound alone: a kernel's per-node working set is what
+        decides when a concatenated batch falls out of cache, so heavy
+        kernels declare a smaller budget and stay at a few kernel calls per
+        sweep instead of one giant memory-bound pass.  A chunk of several
+        items is one kernel call over a cached :class:`BatchedContext`
+        super-CSR; a one-item chunk is one call on the item's own context.
+        """
+        from repro.vectorized import INT_LIMIT
+
+        budget = min(INT_LIMIT - 1,
+                     getattr(kernel, "batch_node_budget", None)
+                     or _DEFAULT_BATCH_NODE_BUDGET)
+        groups: list[list[int]] = []
+        total = 0
+        for idx, (network, _) in enumerate(items):
+            ctx = self._vector_context(network)
+            if ctx is None:
+                continue
+            if not groups or total + ctx.n > budget:
+                groups.append([])
+                total = 0
+            groups[-1].append(idx)
+            total += ctx.n
+        tracer = current_tracer()
+        for chunk, group in enumerate(groups):
+            batched = None
+            if len(group) > 1:
+                with tracer.span("batch_build") as sp:
+                    batched = self._batched_context(
+                        [items[idx][0] for idx in group])
+                    if sp:
+                        sp.set(scheme=scheme.name, chunk=chunk,
+                               items=len(group),
+                               nodes=0 if batched is None else int(batched.n))
+            if batched is None:  # one item, or a batch that lost a size race
+                for idx in group:
+                    network, certificates = items[idx]
+                    ctx = self._vector_context(network)
+                    accepts[idx] = self._kernel(
+                        scheme.name, ctx,
+                        lambda: kernel.accept_vector(ctx, scheme, certificates),
+                        lambda: [(network, self._pls_decide(scheme, certificates))],
+                        network=network)
+                continue
+            members = [items[idx] for idx in group]
+            merged = _merged_certificates([certs for _, certs in members])
+            accept = self._kernel(
+                scheme.name, batched,
+                lambda: kernel.accept_vector(batched, scheme, merged),
+                lambda: [(network, self._pls_decide(scheme, certs))
+                         for network, certs in members],
+                chunk=chunk, items=len(group))
+            offsets = batched.node_offsets
+            for k, idx in enumerate(group):
+                accepts[idx] = accept[offsets[k]:offsets[k + 1]]
+
+    def _kernel(self, name: str, ctx: Any,
+                run: Callable[[], tuple[Any, Any]],
+                members: Callable[[], list[tuple[Network, Callable]]],
+                network: Network | None = None, **attrs: Any) -> Any:
+        """One kernel invocation, with its span, counters and fallback.
+
+        ``run()`` calls the kernel over ``ctx`` and returns its
+        ``(accept, fallback)`` vectors, inside a ``kernel:<name>`` span
+        carrying ``attrs`` (and the fingerprint of ``network``, when given).
+        Nodes the kernel flags — their view holds a value the array form
+        cannot represent exactly — are re-decided by :meth:`_reference`
+        under a ``fallback`` span; ``members()`` lists the
+        ``(network, decide)`` pair of each network ``ctx`` concatenates, in
+        order, and runs only when some node is flagged.  Returns the accept
+        vector, exact.
+        """
+        tracer = current_tracer()
+        with tracer.span("kernel:" + name) as sp:
+            if sp:
+                sp.set(scheme=name, nodes=int(ctx.n), **attrs)
+                if network is not None:
+                    sp.set(network=self._fingerprint(network))
+            accept, fallback = run()
+        counters = self._backend_counters
+        counters["kernel_calls"] += 1
+        counters["kernel_nodes"] += ctx.n
+        if fallback.any():
+            nodes = int(fallback.sum())
+            counters["fallback_nodes"] += nodes
+            if tracer.enabled:
+                tracer.metrics.count(
+                    f"fallback_nodes.{name}.unrepresentable_view", nodes)
+            flagged = fallback.nonzero()[0]
+            # a batched context concatenates its members at node_offsets
+            offsets = getattr(ctx, "node_offsets", (0, ctx.n))
+            with tracer.span("fallback") as sp:
                 if sp:
-                    sp.set(scheme=scheme.name, nodes=network.size,
-                           network=self._fingerprint(network),
-                           streamed=streaming)
-                return {s.node: bool(verify(view(s, certificates, radius)))
-                        for s in structures}
-        labels = network.graph.indexed().labels
-        return {label: bool(accept[i]) for i, label in enumerate(labels)}
+                    sp.set(scheme=name, reason="unrepresentable_view",
+                           nodes=nodes, **attrs)
+                for k, (member, decide) in enumerate(members()):
+                    lo, hi = offsets[k], offsets[k + 1]
+                    local = flagged[(flagged >= lo) & (flagged < hi)] - lo
+                    if len(local):
+                        accept[local + lo] = self._reference(
+                            name, member, 1, decide, local)
+        return accept
+
+    def _reference(self, name: str, network: Network, radius: int,
+                   decide: Callable[[int, NodeStructure], Any],
+                   nodes: Sequence[int] | None = None) -> list[bool]:
+        """The per-node reference loop: ``decide(i, structure)`` as bools.
+
+        ``nodes=None`` decides every node, in node order, as one
+        whole-network pass counted in ``reference_calls`` /
+        ``reference_nodes`` and timed in a ``reference_loop`` span; a
+        sequence of node indices re-decides just those nodes (a kernel's
+        flagged nodes).  Structures stream above ``stream_node_threshold``
+        (:meth:`_structures_for`).
+        """
+        structures = self._structures_for(network, radius, nodes)
+        if nodes is not None:
+            return [bool(decide(i, s)) for i, s in zip(nodes, structures)]
+        counters = self._backend_counters
+        counters["reference_calls"] += 1
+        counters["reference_nodes"] += network.size
+        with current_tracer().span("reference_loop") as sp:
+            if sp:
+                sp.set(scheme=name, nodes=network.size,
+                       network=self._fingerprint(network),
+                       streamed=network.size >= self.stream_node_threshold)
+            return [bool(decide(i, s)) for i, s in enumerate(structures)]
+
+    def _pls_decide(self, scheme: ProofLabelingScheme,
+                    certificates: dict[Node, Any]) -> Callable:
+        """A node's reference decision in a PLS round, as ``decide(i, s)``."""
+        verify = scheme.verify
+        view = self._view
+        radius = scheme.verification_radius
+
+        def decide(_index: int, structure: NodeStructure) -> Any:
+            return verify(view(structure, certificates, radius))
+
+        return decide
 
     def _resolve_backend(self, backend: str | None) -> str:
         if backend is None:
@@ -547,15 +764,73 @@ class SimulationEngine:
         ``None`` entries (networks the compiler refuses) are cached too, so a
         hot reference-fallback loop does not recompile per trial.
         """
-        key = self._network_key(network)
-        try:
-            return self._vector_contexts[key]
-        except KeyError:
+        state = self._state(network)
+        if state.context is _UNSET:
             from repro.vectorized import build_vector_context
 
-            ctx = build_vector_context(network)
-            self._vector_contexts[key] = ctx
-            return ctx
+            state.context = build_vector_context(network)
+        return state.context
+
+    #: batched super-CSRs kept alive at once (a sweep reuses one batch per
+    #: (section, scheme) item tuple, so a handful covers every benchmark)
+    _BATCH_CACHE_SIZE = 8
+
+    def _batched_context(self, networks: Sequence[Network]) -> Any | None:
+        """Cached :class:`BatchedContext` over ``networks`` (exact tuple match).
+
+        Keyed by the identities of the member contexts, so a batch is reused
+        only while every member still has the context it was built from.
+        """
+        contexts = [self._vector_context(network) for network in networks]
+        key = tuple(id(ctx) for ctx in contexts)
+        cached = self._batched_contexts.get(key)
+        if cached is not None:
+            self._batched_contexts.move_to_end(key)
+            return cached[1]
+        from repro.vectorized import build_batched_context
+
+        batched = build_batched_context(contexts)
+        if batched is None:
+            return None
+        self._batched_contexts[key] = (contexts, batched)
+        if len(self._batched_contexts) > self._BATCH_CACHE_SIZE:
+            self._batched_contexts.popitem(last=False)
+        return batched
+
+    def _fingerprint(self, network: Network) -> str:
+        """Cheap cached trace fingerprint of a network (size, edges, id range)."""
+        state = self._state(network)
+        if state.fingerprint is None:
+            ids = network.ids()
+            state.fingerprint = (f"n{network.size}"
+                                 f"e{network.graph.number_of_edges()}"
+                                 f"#{min(ids, default=0):x}-{max(ids, default=0):x}")
+        return state.fingerprint
+
+    def _note_network_fallback(self, scheme: Any, reason: str) -> None:
+        """Count a whole-network fallback, attributed to (scheme, reason)."""
+        self._backend_counters["fallback_networks"] += 1
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.metrics.count(f"fallback_networks.{scheme.name}.{reason}")
+            tracer.event("fallback", scheme=scheme.name, reason=reason)
+
+    def _certificate_stats(self, network: Network,
+                           certificates: dict[Node, Any]) -> dict[Node, int]:
+        """Encode certificate sizes, cached for prover-produced assignments.
+
+        Only assignments held in the prover cache are memoised (they are the
+        ones verified repeatedly, and caching arbitrary attack assignments
+        would retain every trial's dictionary).
+        """
+        state = self._state(network)
+        if not any(certs is certificates for certs in state.honest.values()):
+            return certificate_statistics(certificates)
+        stats = state.sizes.get(id(certificates))
+        if stats is None:
+            stats = certificate_statistics(certificates)
+            state.sizes[id(certificates)] = stats
+        return stats
 
     # ------------------------------------------------------------------
     # shared-memory artifact plane
@@ -634,8 +909,7 @@ class SimulationEngine:
         from repro.distributed import shm
 
         network = shm.attach_network(handle)
-        key = self._network_key(network)
-        self._vector_contexts[key] = shm.attached_context(handle)
+        self._state(network).context = shm.attached_context(handle)
         return network
 
     @property
@@ -669,313 +943,6 @@ class SimulationEngine:
         """Zero the :attr:`backend_counters` (e.g. between benchmark legs)."""
         self.metrics.reset(_BACKEND_COUNTER_KEYS)
 
-    def _accept_vector(self, scheme: ProofLabelingScheme, network: Network,
-                       certificates: dict[Node, Any]) -> Any | None:
-        """Per-node accept vector via the scheme's kernel, or ``None``.
-
-        ``None`` means the vectorized backend cannot serve this call (no
-        kernel, radius > 1, or the network has no vector context) and the
-        caller must run the reference loop.  Nodes the kernel flags as
-        fallback — their view contains a certificate the array form cannot
-        represent exactly — are re-decided here with the reference verifier
-        on the cached structures, so the returned vector is always exact.
-        """
-        counters = self._backend_counters
-        tracer = current_tracer()
-        if scheme.verification_radius != 1:
-            counters["fallback_networks"] += 1
-            self._note_network_fallback(tracer, scheme, "radius")
-            return None
-        kernel = self._kernel_for(scheme)
-        if kernel is None:
-            counters["fallback_networks"] += 1
-            self._note_network_fallback(tracer, scheme, "no_kernel")
-            return None
-        ctx = self._vector_context(network)
-        if ctx is None:
-            counters["fallback_networks"] += 1
-            self._note_network_fallback(tracer, scheme, "refused_network")
-            return None
-        with tracer.span("kernel:" + scheme.name) as sp:
-            if sp:
-                sp.set(scheme=scheme.name, nodes=int(ctx.n),
-                       network=self._fingerprint(network))
-            accept, fallback = kernel.accept_vector(ctx, scheme, certificates)
-        counters["kernel_calls"] += 1
-        counters["kernel_nodes"] += ctx.n
-        if fallback.any():
-            nodes = int(fallback.sum())
-            counters["fallback_nodes"] += nodes
-            verify = scheme.verify
-            view = self._view
-            if tracer.enabled:
-                tracer.metrics.count(
-                    f"fallback_nodes.{scheme.name}.unrepresentable_view", nodes)
-            with tracer.span("fallback") as sp:
-                if sp:
-                    sp.set(scheme=scheme.name, reason="unrepresentable_view",
-                           nodes=nodes)
-                if ctx.n >= self.stream_node_threshold:
-                    # re-deciding a handful of flagged nodes must not
-                    # materialise (or cache) a million-entry structure list:
-                    # build exactly the flagged nodes' views on demand
-                    labels = ctx.labels
-                    for i in fallback.nonzero()[0]:
-                        structure = structure_at(network, labels[i], 1)
-                        accept[i] = bool(verify(view(structure, certificates, 1)))
-                else:
-                    structures = self.structures(network, 1)
-                    for i in fallback.nonzero()[0]:
-                        accept[i] = bool(verify(view(structures[i], certificates, 1)))
-        return accept
-
-    def _fingerprint(self, network: Network) -> str:
-        """Cheap cached trace fingerprint of a network (size, edges, id range)."""
-        key = self._network_key(network)
-        cached = self._fingerprints.get(key)
-        if cached is None:
-            ids = network.ids()
-            cached = (f"n{network.size}"
-                      f"e{network.graph.number_of_edges()}"
-                      f"#{min(ids, default=0):x}-{max(ids, default=0):x}")
-            self._fingerprints[key] = cached
-        return cached
-
-    @staticmethod
-    def _note_network_fallback(tracer: Any, scheme: Any, reason: str) -> None:
-        """Attribute a whole-network fallback to (scheme, reason) in the trace."""
-        if tracer.enabled:
-            tracer.metrics.count(f"fallback_networks.{scheme.name}.{reason}")
-            tracer.event("fallback", scheme=scheme.name, reason=reason)
-
-    #: batched super-CSRs kept alive at once (a sweep reuses one batch per
-    #: (section, scheme) item tuple, so a handful covers every benchmark)
-    _BATCH_CACHE_SIZE = 8
-
-    def _batched_context(self, networks: Sequence[Network]) -> Any | None:
-        """Cached :class:`BatchedContext` over ``networks`` (exact tuple match).
-
-        Keyed by the member network keys, so graph mutation or eviction of
-        any member invalidates the batch through :meth:`_drop_network`.
-        """
-        key = tuple(self._network_key(network) for network in networks)
-        cached = self._batched_contexts.get(key)
-        if cached is not None:
-            self._batched_contexts.move_to_end(key)
-            return cached
-        from repro.vectorized import build_batched_context
-
-        batched = build_batched_context(
-            [self._vector_context(network) for network in networks])
-        if batched is None:
-            return None
-        self._batched_contexts[key] = batched
-        if len(self._batched_contexts) > self._BATCH_CACHE_SIZE:
-            self._batched_contexts.popitem(last=False)
-        return batched
-
-    def _accept_vector_batch(self, scheme: ProofLabelingScheme,
-                             items: Sequence[tuple[Network, dict[Node, Any]]],
-                             backend: str | None) -> list[Any]:
-        """Per-item accept vectors for a whole sweep, batch-compiled.
-
-        Returns one entry per item: an accept vector (exact, fallback nodes
-        already re-decided) or ``None`` for items the vectorized path cannot
-        serve — the caller runs those through the per-item methods, which do
-        their own coverage accounting.  Representable items are concatenated
-        into a handful of :class:`BatchedContext` super-CSR chunks, so a
-        sweep costs one kernel invocation per chunk instead of one per item.
-        Chunks are bounded by the kernel's ``batch_node_budget`` (default
-        :data:`_DEFAULT_BATCH_NODE_BUDGET`), never the compiler's ``2**31``
-        composite-key bound alone: a kernel's per-node working set is what
-        decides when a concatenated batch falls out of cache, so heavy
-        kernels declare a smaller budget and stay at a few kernel calls per
-        sweep instead of one giant memory-bound pass.
-        """
-        results: list[Any] = [None] * len(items)
-        if self._resolve_backend(backend) != "vectorized":
-            return results
-        if scheme.verification_radius != 1:
-            return results
-        kernel = self._kernel_for(scheme)
-        if kernel is None:
-            return results
-        from repro.vectorized import INT_LIMIT
-
-        budget = min(INT_LIMIT - 1,
-                     getattr(kernel, "batch_node_budget", None)
-                     or _DEFAULT_BATCH_NODE_BUDGET)
-        usable = [idx for idx, (network, _) in enumerate(items)
-                  if self._vector_context(network) is not None]
-        groups: list[list[int]] = []
-        current: list[int] = []
-        total = 0
-        for idx in usable:
-            n = self._vector_context(items[idx][0]).n
-            if current and total + n > budget:
-                groups.append(current)
-                current, total = [], 0
-            current.append(idx)
-            total += n
-        if current:
-            groups.append(current)
-        for chunk, group in enumerate(groups):
-            if len(group) == 1:
-                idx = group[0]
-                network, certificates = items[idx]
-                results[idx] = self._accept_vector(scheme, network, certificates)
-                continue
-            self._batch_accept_group(scheme, items, group, results, chunk)
-        return results
-
-    def _batch_accept_group(self, scheme: ProofLabelingScheme,
-                            items: Sequence[tuple[Network, dict[Node, Any]]],
-                            group: list[int], results: list[Any],
-                            chunk: int = 0) -> None:
-        """Decide one chunk of batch items with a single kernel invocation."""
-        tracer = current_tracer()
-        with tracer.span("batch_build") as sp:
-            batched = self._batched_context([items[idx][0] for idx in group])
-            if sp:
-                sp.set(scheme=scheme.name, chunk=chunk, items=len(group),
-                       nodes=0 if batched is None else int(batched.n))
-        if batched is None:  # lost a size race; peel back to per-item calls
-            for idx in group:
-                network, certificates = items[idx]
-                results[idx] = self._accept_vector(scheme, network, certificates)
-            return
-        kernel = self._kernel_for(scheme)
-        certificates = _merged_certificates([items[idx][1] for idx in group])
-        with tracer.span("kernel:" + scheme.name) as sp:
-            if sp:
-                sp.set(scheme=scheme.name, nodes=int(batched.n),
-                       chunk=chunk, items=len(group))
-            accept, fallback = kernel.accept_vector(batched, scheme, certificates)
-        counters = self._backend_counters
-        counters["kernel_calls"] += 1
-        counters["kernel_nodes"] += batched.n
-        if fallback.any():
-            nodes = int(fallback.sum())
-            counters["fallback_nodes"] += nodes
-            if tracer.enabled:
-                tracer.metrics.count(
-                    f"fallback_nodes.{scheme.name}.unrepresentable_view", nodes)
-            verify = scheme.verify
-            view = self._view
-            structures_of: dict[int, list[NodeStructure]] = {}
-            with tracer.span("fallback") as sp:
-                if sp:
-                    sp.set(scheme=scheme.name, reason="unrepresentable_view",
-                           nodes=nodes, chunk=chunk)
-                for g in fallback.nonzero()[0]:
-                    k = int(batched.network_of[g])
-                    local = int(g) - int(batched.node_offsets[k])
-                    network, item_certs = items[group[k]]
-                    structures = structures_of.get(k)
-                    if structures is None:
-                        structures = self.structures(network, 1)
-                        structures_of[k] = structures
-                    accept[g] = bool(verify(view(structures[local], item_certs, 1)))
-        offsets = batched.node_offsets
-        for k, idx in enumerate(group):
-            results[idx] = accept[offsets[k]:offsets[k + 1]]
-
-    def verify_batch(self, scheme: ProofLabelingScheme,
-                     network_certificates: Sequence[tuple[Network, dict[Node, Any]]],
-                     backend: str | None = None) -> list[VerificationResult]:
-        """:meth:`verify` over many ``(network, certificates)`` items at once.
-
-        Under the vectorized backend the representable items are decided with
-        one kernel invocation per batch chunk (see the class docstring);
-        every other item — and every item under the reference backend — runs
-        through :meth:`verify` unchanged.  The returned results are
-        field-for-field identical to calling :meth:`verify` per item, in item
-        order.
-        """
-        items = list(network_certificates)
-        vectors = self._accept_vector_batch(scheme, items, backend)
-        results = []
-        for (network, certificates), accept in zip(items, vectors):
-            if accept is None:
-                results.append(self.verify(scheme, network, certificates,
-                                           backend=backend))
-                continue
-            labels = network.graph.indexed().labels
-            results.append(VerificationResult(
-                scheme_name=scheme.name,
-                decisions={label: bool(accept[i])
-                           for i, label in enumerate(labels)},
-                certificate_bits=self._certificate_stats(network, certificates),
-                verification_radius=scheme.verification_radius,
-            ))
-        return results
-
-    def count_accepting_batch(self, scheme: ProofLabelingScheme,
-                              network_certificates: Sequence[tuple[Network, dict[Node, Any]]],
-                              backend: str | None = None) -> list[int]:
-        """:meth:`count_accepting` over many items, batch-compiled.
-
-        The adversary's chunked inner loop: attacks stage their candidate
-        assignments and rank them from one kernel pass instead of one call
-        per trial.  Decisions (and therefore counts) are identical to the
-        per-item method's.
-        """
-        items = list(network_certificates)
-        vectors = self._accept_vector_batch(scheme, items, backend)
-        return [int(accept.sum()) if accept is not None
-                else self.count_accepting(scheme, network, certificates,
-                                          backend=backend)
-                for (network, certificates), accept in zip(items, vectors)]
-
-    def _certificate_stats(self, network: Network,
-                           certificates: dict[Node, Any]) -> dict[Node, int]:
-        """Encode certificate sizes, cached for prover-produced assignments.
-
-        Only assignments held in the prover cache are memoised (they are the
-        ones verified repeatedly, and caching arbitrary attack assignments
-        would retain every trial's dictionary).
-        """
-        key = id(network)
-        per_scheme = self._prover_cache.get(key)
-        if not per_scheme or not any(certs is certificates
-                                     for certs in per_scheme.values()):
-            return certificate_statistics(certificates)
-        per_certs = self._stats_cache.setdefault(key, {})
-        stats = per_certs.get(id(certificates))
-        if stats is None:
-            stats = certificate_statistics(certificates)
-            per_certs[id(certificates)] = stats
-        return stats
-
-    def count_accepting(self, scheme: ProofLabelingScheme, network: Network,
-                        certificates: dict[Node, Any],
-                        backend: str | None = None) -> int:
-        """Return how many nodes accept, skipping certificate-size accounting.
-
-        This is the adversary's inner loop: attacks only rank assignments by
-        the number of convinced nodes, so the bit-exact encoding pass of
-        :func:`run_verification` would be pure overhead here.  ``backend``
-        behaves as in :meth:`verify`.
-        """
-        if self._resolve_backend(backend) == "vectorized":
-            accept = self._accept_vector(scheme, network, certificates)
-            if accept is not None:
-                return int(accept.sum())
-        radius = scheme.verification_radius
-        verify = scheme.verify
-        view = self._view
-        structures = self.structures(network, radius)
-        counters = self._backend_counters
-        counters["reference_calls"] += 1
-        counters["reference_nodes"] += len(structures)
-        tracer = current_tracer()
-        with tracer.span("reference_loop") as sp:
-            if sp:
-                sp.set(scheme=scheme.name, nodes=len(structures),
-                       network=self._fingerprint(network))
-            return sum(1 for s in structures
-                       if verify(view(s, certificates, radius)))
-
     # ------------------------------------------------------------------
     # prover artifacts
     # ------------------------------------------------------------------
@@ -984,25 +951,22 @@ class SimulationEngine:
 
         Returns ``id(owner)`` after registering a weakref finalizer that
         evicts the owner's cached prover artifacts (and their size stats)
-        and first-turn artifacts across every network when the owner is
-        garbage-collected.
+        and first-turn artifacts from every network's record when the owner
+        is garbage-collected.
         """
         owner_key = id(owner)
-        if owner_key not in self._finalizers:
+        if owner_key not in self._owners:
             def _evict(_ref: weakref.ref, owner_key: int = owner_key) -> None:
-                for net_key, per_owner in self._prover_cache.items():
-                    certificates = per_owner.pop(owner_key, None)
+                for state in self._states.values():
+                    certificates = state.honest.pop(owner_key, None)
                     if certificates is not None:
                         # drop the size stats keyed by the freed dict's id as
                         # well, or a later allocation at the recycled address
                         # could be served another assignment's sizes
-                        per_certs = self._stats_cache.get(net_key)
-                        if per_certs is not None:
-                            per_certs.pop(id(certificates), None)
-                for per_owner in self._first_turns.values():
-                    per_owner.pop(owner_key, None)
-                self._finalizers.pop(owner_key, None)
-            self._finalizers[owner_key] = weakref.ref(owner, _evict)
+                        state.sizes.pop(id(certificates), None)
+                    state.turns.pop(owner_key, None)
+                self._owners.pop(owner_key, None)
+            self._owners[owner_key] = weakref.ref(owner, _evict)
         return owner_key
 
     def certify(self, scheme: ProofLabelingScheme, network: Network,
@@ -1010,13 +974,12 @@ class SimulationEngine:
         """Run the honest prover, caching the assignment per (network, scheme)."""
         if not cache:
             return scheme.prove(network)
-        key = self._network_key(network)
+        honest = self._state(network).honest
         scheme_key = self._track_owner(scheme)
-        per_scheme = self._prover_cache.setdefault(key, {})
-        certificates = per_scheme.get(scheme_key)
+        certificates = honest.get(scheme_key)
         if certificates is None:
             certificates = scheme.prove(network)
-            per_scheme[scheme_key] = certificates
+            honest[scheme_key] = certificates
         return certificates
 
     def certify_and_verify(self, scheme: ProofLabelingScheme, graph: Graph,
@@ -1041,13 +1004,12 @@ class SimulationEngine:
         """
         if not cache:
             return protocol.first_turn(network)
-        key = self._network_key(network)
+        turns = self._state(network).turns
         protocol_key = self._track_owner(protocol)
-        per_protocol = self._first_turns.setdefault(key, {})
-        turn = per_protocol.get(protocol_key)
+        turn = turns.get(protocol_key)
         if turn is None:
             turn = protocol.first_turn(network)
-            per_protocol[protocol_key] = turn
+            turns[protocol_key] = turn
         return turn
 
     def run_interactive(self, protocol: InteractiveProtocol, network: Network,
@@ -1083,15 +1045,15 @@ class SimulationEngine:
             # dishonest first, honest-shaped second: mirror the reference
             # runner (merlin_second over the raw messages)
             second = protocol.merlin_second(network, first, challenges)
-        decisions = self._interactive_decisions(protocol, network, first,
-                                                second, challenges)
+        accept = self._interactive_decisions(protocol, network, first,
+                                             second, challenges)
         return InteractiveTranscript(
             protocol_name=protocol.name,
             interactions=protocol.interactions,
             first_certificates=first,
             challenges=challenges,
             second_certificates=second,
-            decisions=decisions,
+            decisions=_decision_map(network, accept),
         )
 
     def _interactive_decisions(self, protocol: InteractiveProtocol,
@@ -1099,130 +1061,94 @@ class SimulationEngine:
                                second: dict[Node, Any],
                                challenges: dict[Node, int],
                                prepared: Sequence[Any] | None = None,
-                               backend: str | None = None,
-                               ) -> dict[Node, bool]:
-        """Final verification round on cached structures (radius 1).
+                               backend: str | None = None) -> Any:
+        """Accept vector (node order) of one verification round at radius 1.
 
         With ``prepared`` (see :meth:`interactive_prepared`) each node's
         challenge-independent verifier state is reused and only the
         challenge-dependent half runs; under the vectorized backend that
         half runs as one array pass per challenge draw when the protocol
-        registered a round kernel.
+        registered a round kernel.  Otherwise the reference loop decides.
         """
-        tracer = current_tracer()
-        with tracer.span("interactive_round") as outer:
-            if outer:
-                outer.set(protocol=protocol.name, nodes=network.size,
-                          network=self._fingerprint(network))
-            return self._interactive_decisions_impl(
-                protocol, network, first, second, challenges, prepared, backend)
+        with current_tracer().span("interactive_round") as sp:
+            if sp:
+                sp.set(protocol=protocol.name, nodes=network.size,
+                       network=self._fingerprint(network))
+            accept = None
+            if prepared is not None and \
+                    self._resolve_backend(backend) == "vectorized":
+                accept = self._round_kernel(protocol, network, first, second,
+                                            challenges, prepared)
+            if accept is None:
+                accept = self._reference(
+                    protocol.name, network, 1,
+                    self._round_decide(protocol, network, first, second,
+                                       challenges, prepared))
+            return accept
 
-    def _interactive_decisions_impl(self, protocol: InteractiveProtocol,
-                                    network: Network, first: dict[Node, Any],
-                                    second: dict[Node, Any],
-                                    challenges: dict[Node, int],
-                                    prepared: Sequence[Any] | None,
-                                    backend: str | None) -> dict[Node, bool]:
-        if prepared is not None and self._resolve_backend(backend) == "vectorized":
-            accept = self._interactive_accept_round(protocol, network, first,
-                                                    second, challenges, prepared)
-            if accept is not None:
-                labels = network.graph.indexed().labels
-                return {label: bool(accept[i])
-                        for i, label in enumerate(labels)}
-        paired = {node: (first.get(node), second.get(node))
-                  for node in network.nodes()}
-        structures = self.structures(network, 1)
-        counters = self._backend_counters
-        counters["reference_calls"] += 1
-        counters["reference_nodes"] += len(structures)
-        decisions: dict[Node, bool] = {}
-        if prepared is None:
-            verify = protocol.verify
-            for s in structures:
-                view = assemble_view(s, paired, 1)
-                neighbor_challenges = {vid: challenges[v] for vid, v in
-                                       zip(s.visible_ids[1:], s.visible_nodes[1:])}
-                decisions[s.node] = bool(verify(view, challenges[s.node],
-                                                neighbor_challenges))
-        else:
-            finish = protocol.verify_with_state
-            for s, state in zip(structures, prepared):
-                view = assemble_view(s, paired, 1)
-                neighbor_challenges = {vid: challenges[v] for vid, v in
-                                       zip(s.visible_ids[1:], s.visible_nodes[1:])}
-                decisions[s.node] = bool(finish(state, view, challenges[s.node],
-                                                neighbor_challenges))
-        return decisions
-
-    def _interactive_accept_round(self, protocol: InteractiveProtocol,
-                                  network: Network, first: dict[Node, Any],
-                                  second: dict[Node, Any],
-                                  challenges: dict[Node, int],
-                                  prepared: Sequence[Any]) -> Any | None:
+    def _round_kernel(self, protocol: InteractiveProtocol, network: Network,
+                      first: dict[Node, Any], second: dict[Node, Any],
+                      challenges: dict[Node, int],
+                      prepared: Sequence[Any]) -> Any | None:
         """One challenge draw through the protocol's round kernel, or ``None``.
 
         The challenge-independent prepared states are compiled to arrays once
-        per ``prepared`` list (identity-cached per network), so each draw
-        costs one :meth:`accept_round` pass; nodes the kernel flags —
-        a second message the column form cannot represent — are re-decided
-        with :meth:`verify_with_state` exactly as the reference loop would.
+        per ``prepared`` list (identity-cached in the network's record), so
+        each draw costs one :meth:`accept_round` pass.  ``None`` — no round
+        kernel, or a network the compiler refuses — is counted and
+        attributed as a whole-network fallback.
         """
-        counters = self._backend_counters
-        tracer = current_tracer()
         kernel = self._kernel_for(protocol)
         if kernel is None or not hasattr(kernel, "accept_round"):
-            counters["fallback_networks"] += 1
-            self._note_network_fallback(tracer, protocol, "no_round_kernel")
+            self._note_network_fallback(protocol, "no_round_kernel")
             return None
         ctx = self._vector_context(network)
         if ctx is None:
-            counters["fallback_networks"] += 1
-            self._note_network_fallback(tracer, protocol, "refused_network")
+            self._note_network_fallback(protocol, "refused_network")
             return None
-        key = self._network_key(network)
-        entry = self._dmam_compiled.get(key)
-        if entry is not None and entry[0] is prepared:
-            compiled = entry[1]
-        else:
-            with tracer.span("compile") as sp:
+        state = self._state(network)
+        if state.round_states is None or state.round_states[0] is not prepared:
+            with current_tracer().span("compile") as sp:
                 if sp:
                     sp.set(stage="prepared_states", protocol=protocol.name,
                            nodes=int(ctx.n))
-                compiled = kernel.compile_prepared(ctx, prepared)
-            self._dmam_compiled[key] = (prepared, compiled)
-        with tracer.span("kernel:" + protocol.name) as sp:
-            if sp:
-                sp.set(scheme=protocol.name, nodes=int(ctx.n), round=True)
-            accept, fallback = kernel.accept_round(ctx, compiled, second,
-                                                   challenges)
-        counters["kernel_calls"] += 1
-        counters["kernel_nodes"] += ctx.n
-        if fallback.any():
-            nodes = int(fallback.sum())
-            counters["fallback_nodes"] += nodes
-            if tracer.enabled:
-                tracer.metrics.count(
-                    f"fallback_nodes.{protocol.name}.unrepresentable_view",
-                    nodes)
-            paired = {node: (first.get(node), second.get(node))
-                      for node in network.nodes()}
-            structures = self.structures(network, 1)
-            finish = protocol.verify_with_state
-            with tracer.span("fallback") as sp:
-                if sp:
-                    sp.set(scheme=protocol.name, reason="unrepresentable_view",
-                           nodes=nodes)
-                for i in fallback.nonzero()[0]:
-                    s = structures[i]
-                    view = assemble_view(s, paired, 1)
-                    neighbor_challenges = {vid: challenges[v] for vid, v in
-                                           zip(s.visible_ids[1:],
-                                               s.visible_nodes[1:])}
-                    accept[i] = bool(finish(prepared[i], view,
-                                            challenges[s.node],
-                                            neighbor_challenges))
-        return accept
+                state.round_states = (prepared,
+                                      kernel.compile_prepared(ctx, prepared))
+        compiled = state.round_states[1]
+        return self._kernel(
+            protocol.name, ctx,
+            lambda: kernel.accept_round(ctx, compiled, second, challenges),
+            lambda: [(network, self._round_decide(protocol, network, first,
+                                                  second, challenges,
+                                                  prepared))],
+            round=True)
+
+    def _round_decide(self, protocol: InteractiveProtocol, network: Network,
+                      first: dict[Node, Any], second: dict[Node, Any],
+                      challenges: dict[Node, int],
+                      prepared: Sequence[Any] | None) -> Callable:
+        """A node's reference decision in an interactive round, as ``decide(i, s)``.
+
+        Without ``prepared`` the protocol's full verifier runs; with it, only
+        the challenge-dependent half (:meth:`verify_with_state`) on node
+        ``i``'s prepared state.
+        """
+        paired = {node: (first.get(node), second.get(node))
+                  for node in network.nodes()}
+        view = self._view
+
+        def decide(index: int, s: NodeStructure) -> Any:
+            neighbor_challenges = {vid: challenges[v] for vid, v in
+                                   zip(s.visible_ids[1:], s.visible_nodes[1:])}
+            if prepared is None:
+                return protocol.verify(view(s, paired, 1), challenges[s.node],
+                                       neighbor_challenges)
+            return protocol.verify_with_state(prepared[index],
+                                              view(s, paired, 1),
+                                              challenges[s.node],
+                                              neighbor_challenges)
+
+        return decide
 
     def interactive_prepared(self, protocol: InteractiveProtocol,
                              network: Network,
@@ -1234,9 +1160,10 @@ class SimulationEngine:
         :meth:`count_accepting_interactive` to amortise the deterministic
         structural checks over many challenge draws.
         """
-        structures = self.structures(network, 1)
         prepare = protocol.prepare_verifier
-        return [prepare(assemble_view(s, first, 1)) for s in structures]
+        view = self._view
+        return [prepare(view(s, first, 1))
+                for s in self._structures_for(network, 1)]
 
     def count_accepting_interactive(self, protocol: InteractiveProtocol,
                                     network: Network, first: dict[Node, Any],
@@ -1253,10 +1180,9 @@ class SimulationEngine:
         ``prepared`` the vectorized backend serves each draw from the
         protocol's round kernel.
         """
-        return sum(self._interactive_decisions(protocol, network, first,
-                                               second, challenges,
-                                               prepared=prepared,
-                                               backend=backend).values())
+        return _accepting(self._interactive_decisions(
+            protocol, network, first, second, challenges, prepared=prepared,
+            backend=backend))
 
     def estimate_soundness_error(self, protocol: InteractiveProtocol,
                                  network: Network, trials: int,

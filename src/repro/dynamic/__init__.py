@@ -23,7 +23,9 @@ The graph-layer half of the story (the bounded mutation journal and CSR
 patching) lives on :class:`~repro.graphs.graph.Graph` /
 :class:`~repro.graphs.indexed.IndexedGraph` themselves, and the engine's
 delta-aware cache invalidation in
-:meth:`~repro.distributed.engine.SimulationEngine._network_key`.
+:meth:`~repro.distributed.engine.SimulationEngine._state` (which patches a
+network's cache record through
+:meth:`~repro.distributed.engine._NetworkState.patched`).
 """
 
 from repro.dynamic.incremental import DynamicAuditor, EventReport

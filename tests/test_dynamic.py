@@ -28,6 +28,7 @@ from repro.dynamic.repair import SpanningTreeRepairer, repairer_for
 from repro.graphs.generators import delaunay_planar_graph, random_tree
 from repro.graphs.graph import (Graph, JOURNAL_LIMIT, PATCH_DELTA_LIMIT)
 from repro.graphs.indexed import IndexedGraph
+from repro.graphs.planarity import is_planar
 from repro.observability.tracer import start_tracing, stop_tracing
 
 
@@ -154,11 +155,11 @@ class TestTablePatchers:
         from repro.core.building_blocks import SpanningTreeLabel
         from repro.dynamic.tables import patch_certificate_table
 
-        network = Network(random_tree(60, seed=5))
+        network = Network(random_tree(60, seed=5), seed=5)
         ctx = build_vector_context(network)
         scheme = TreeScheme()
         certificates = dict(scheme.prove(network))
-        donor = scheme.prove(Network(random_tree(60, seed=6)))
+        donor = scheme.prove(Network(random_tree(60, seed=6), seed=6))
         rng = random.Random(0)
         table = compile_certificates(ctx, certificates, SpanningTreeLabel,
                                      SPANNING_TREE_FIELDS)
@@ -190,11 +191,12 @@ class TestTablePatchers:
                                                  TreeEdgeCertificate)
         from repro.dynamic.tables import patch_edge_list_table
 
-        network = Network(delaunay_planar_graph(50, seed=3))
+        network = Network(delaunay_planar_graph(50, seed=3), seed=3)
         ctx = build_vector_context(network)
         scheme = PlanarityScheme()
         certificates = dict(scheme.prove(network))
-        donor = scheme.prove(Network(delaunay_planar_graph(50, seed=8)))
+        donor = scheme.prove(
+            Network(delaunay_planar_graph(50, seed=8), seed=8))
         rng = random.Random(1)
 
         def compile_scratch(assignment):
@@ -238,7 +240,7 @@ class TestTablePatchers:
 # ----------------------------------------------------------------------
 class TestDynamicAuditorPlanarity:
     def test_churn_decisions_match_reference(self):
-        network = Network(delaunay_planar_graph(60, seed=3))
+        network = Network(delaunay_planar_graph(60, seed=3), seed=3)
         auditor = DynamicAuditor(network, PlanarityScheme())
         auditor.baseline()
         rng = random.Random(7)
@@ -255,7 +257,7 @@ class TestDynamicAuditorPlanarity:
         assert auditor.accepts_all
 
     def test_tree_edge_removal_falls_back_counted(self):
-        network = Network(delaunay_planar_graph(40, seed=2))
+        network = Network(delaunay_planar_graph(40, seed=2), seed=2)
         auditor = DynamicAuditor(network, PlanarityScheme())
         auditor.baseline()
         chords = set(cotree_pairs(auditor))
@@ -271,28 +273,31 @@ class TestDynamicAuditorPlanarity:
         assert auditor.accepts_all
 
     def test_miswired_link_alarms_immediately_and_recovers(self):
-        network = Network(delaunay_planar_graph(60, seed=3))
+        network = Network(delaunay_planar_graph(60, seed=3), seed=3)
         auditor = DynamicAuditor(network, PlanarityScheme())
         auditor.baseline()
         ids = sorted(network.ids())
         graph = network.graph
         rng = random.Random(5)
-        while True:
+        while True:  # a link whose extra edge makes the mesh non-planar
             a, b = rng.sample(ids, 2)
-            if not graph.has_edge(network.node_of(a), network.node_of(b)):
+            u, v = network.node_of(a), network.node_of(b)
+            if graph.has_edge(u, v):
+                continue
+            probe = graph.copy()
+            probe.add_edge(u, v)
+            if not is_planar(probe):
                 break
-        landed = auditor.apply_event("add_edge", network.node_of(a),
-                                     network.node_of(b))
+        landed = auditor.apply_event("add_edge", u, v)
         assert not landed.member
         assert landed.alarms  # the audit flags the link the epoch it lands
         assert auditor.decisions == reference_decisions(auditor)
-        report = auditor.apply_event("remove_edge", network.node_of(a),
-                                     network.node_of(b))
+        report = auditor.apply_event("remove_edge", u, v)
         assert report.accept_all and not report.alarms
         assert auditor.decisions == reference_decisions(auditor)
 
     def test_journal_truncation_re_decides_everything(self):
-        network = Network(delaunay_planar_graph(40, seed=6))
+        network = Network(delaunay_planar_graph(40, seed=6), seed=6)
         auditor = DynamicAuditor(network, PlanarityScheme())
         auditor.baseline()
         graph = network.graph
@@ -311,7 +316,7 @@ class TestDynamicAuditorPlanarity:
 
 class TestDynamicAuditorTree:
     def test_batched_swaps_match_reference(self):
-        network = Network(random_tree(80, seed=5))
+        network = Network(random_tree(80, seed=5), seed=5)
         auditor = DynamicAuditor(network, TreeScheme())
         auditor.baseline()
         graph = network.graph
@@ -337,7 +342,7 @@ class TestDynamicAuditorTree:
     def test_deep_swap_cascades_to_counted_fallback(self):
         # swapping the root's heavy child re-roots more than half the tree:
         # the repairer must detect the cascade and fall back, counted
-        network = Network(random_tree(80, seed=5))
+        network = Network(random_tree(80, seed=5), seed=5)
         auditor = DynamicAuditor(network, TreeScheme())
         auditor.baseline()
         certificates = auditor.certificates
@@ -356,7 +361,7 @@ class TestDynamicAuditorTree:
     def test_split_swap_leaves_class_then_alarm_clears(self):
         # the same swap split across two calls passes through a non-tree
         # state: the first half must alarm, the second must recover
-        network = Network(random_tree(30, seed=1))
+        network = Network(random_tree(30, seed=1), seed=1)
         auditor = DynamicAuditor(network, TreeScheme())
         auditor.baseline()
         adj = network.graph._adj
@@ -378,7 +383,8 @@ class TestDynamicAuditorTree:
         assert isinstance(repairer_for(TreeScheme()), SpanningTreeRepairer)
         assert repairer_for(ForeignScheme()) is None
         with pytest.raises(ValueError):
-            DynamicAuditor(Network(random_tree(10, seed=0)), ForeignScheme())
+            DynamicAuditor(Network(random_tree(10, seed=0), seed=0),
+                           ForeignScheme())
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +394,7 @@ class TestEngineDeltaInvalidation:
     pytest.importorskip("numpy")
 
     def test_warm_engine_matches_cold_under_churn(self):
-        network = Network(delaunay_planar_graph(60, seed=3))
+        network = Network(delaunay_planar_graph(60, seed=3), seed=3)
         scheme = PlanarityScheme()
         auditor = DynamicAuditor(network, scheme)
         auditor.baseline()
@@ -418,7 +424,7 @@ class TestEngineDeltaInvalidation:
         assert counters.get("delta_nodes", 0) > 0
 
     def test_oversized_delta_batch_drops_caches(self):
-        network = Network(delaunay_planar_graph(60, seed=4))
+        network = Network(delaunay_planar_graph(60, seed=4), seed=4)
         scheme = PlanarityScheme()
         certificates = PlanarityScheme().prove(network)
         engine = SimulationEngine(backend="vectorized")

@@ -216,7 +216,10 @@ class TestEngineCaches:
         gc.collect()
         # evicted graphs are no longer pinned by the engine
         assert sum(ref() is not None for ref in refs) == 2
-        assert len(engine._structures) == 2
+        # exactly the two live networks keep a cache record, and the
+        # structures populated above are still in them
+        assert len(engine._states) == 2
+        assert all(state.structures for state in engine._states.values())
 
     def test_structures_cached_per_radius(self):
         engine = SimulationEngine()
@@ -277,6 +280,105 @@ class TestEngineCaches:
         third = engine.verify(scheme, network, forged)
         assert third.certificate_bits is not first.certificate_bits
         assert third.certificate_bits == first.certificate_bits
+
+
+def _traced(operation):
+    """Run ``operation`` under a fresh tracer: (result, span names, tracer)."""
+    from repro.observability import start_tracing, stop_tracing
+
+    tracer = start_tracing()
+    try:
+        result = operation()
+    finally:
+        stop_tracing()
+    return result, [span.name for span in tracer.spans], tracer
+
+
+class TestStreamingRule:
+    """From ``stream_node_threshold`` nodes on, every per-node pass streams:
+    no whole-network structure list is built (no ``view_materialize`` span),
+    and the decisions equal the caching engine's."""
+
+    def _planarity(self, n=20, seed=12):
+        scheme = default_registry().create("planarity-pls")
+        network = Network(delaunay_planar_graph(n, seed=seed), seed=seed)
+        return scheme, network, scheme.prove(network)
+
+    def _dmam_round(self, network, seed=3):
+        protocol = default_registry().create("planarity-dmam")
+        turn = protocol.first_turn(network)
+        challenges = protocol.draw_challenges(network, random.Random(seed))
+        second = protocol.second_turn(network, turn, challenges)
+        return protocol, dict(turn.messages), second, challenges
+
+    def test_count_paths_stream_above_threshold(self):
+        scheme, network, certificates = self._planarity()
+        protocol, first, second, challenges = self._dmam_round(network)
+        cached = SimulationEngine()
+        expected = (cached.count_accepting(scheme, network, certificates),
+                    cached.count_accepting_interactive(
+                        protocol, network, first, second, challenges))
+        streaming = SimulationEngine(stream_node_threshold=1)
+        counts, names, tracer = _traced(lambda: (
+            streaming.count_accepting(scheme, network, certificates),
+            streaming.count_accepting_interactive(
+                protocol, network, first, second, challenges)))
+        assert counts == expected == (network.size, network.size)
+        assert "view_materialize" not in names
+        # the interactive reference pass is a counted reference_loop too
+        loops = [span for span in tracer.spans if span.name == "reference_loop"]
+        assert [span.attributes["scheme"] for span in loops] == \
+            [scheme.name, protocol.name]
+        assert all(span.attributes["streamed"] for span in loops)
+        assert streaming.backend_counters["reference_calls"] == 2
+        assert streaming.backend_counters["reference_nodes"] == 2 * network.size
+
+    def test_prepared_interactive_round_streams(self):
+        _, network, _ = self._planarity()
+        protocol, first, second, challenges = self._dmam_round(network)
+        cached = SimulationEngine()
+        expected = cached.count_accepting_interactive(
+            protocol, network, first, second, challenges,
+            prepared=cached.interactive_prepared(protocol, network, first))
+        streaming = SimulationEngine(stream_node_threshold=1)
+        count, names, _ = _traced(lambda: streaming.count_accepting_interactive(
+            protocol, network, first, second, challenges,
+            prepared=streaming.interactive_prepared(protocol, network, first)))
+        assert count == expected == network.size
+        assert "view_materialize" not in names
+
+    def test_batched_flagged_node_redecide_streams(self):
+        items = []
+        for seed in (12, 13):
+            scheme, network, honest = self._planarity(seed=seed)
+            corrupted = dict(honest)
+            corrupted[sorted(corrupted, key=repr)[0]] = object()  # unrepresentable
+            items.append((network, corrupted))
+        engine = SimulationEngine(backend="vectorized", stream_node_threshold=1)
+        results, names, _ = _traced(lambda: engine.verify_batch(scheme, items))
+        assert "view_materialize" not in names
+        for (network, certificates), result in zip(items, results):
+            assert result.decisions == \
+                run_verification(scheme, network, certificates).decisions
+        counters = engine.backend_counters
+        assert counters["kernel_calls"] == 1  # both items in one chunk
+        assert counters["fallback_nodes"] > 0
+        assert counters["reference_calls"] == 0
+
+    def test_round_kernel_flagged_node_redecide_streams(self):
+        _, network, _ = self._planarity()
+        protocol, first, second, challenges = self._dmam_round(network)
+        second[sorted(second, key=repr)[0]] = "garbage"  # unrepresentable
+        reference = SimulationEngine().count_accepting_interactive(
+            protocol, network, first, second, challenges)
+        engine = SimulationEngine(backend="vectorized", stream_node_threshold=1)
+        count, names, _ = _traced(lambda: engine.count_accepting_interactive(
+            protocol, network, first, second, challenges,
+            prepared=engine.interactive_prepared(protocol, network, first)))
+        assert count == reference
+        assert "view_materialize" not in names
+        assert engine.backend_counters["fallback_nodes"] > 0
+        assert engine.backend_counters["reference_calls"] == 0
 
 
 def _square(value: int) -> int:
