@@ -1,6 +1,6 @@
 """E1 — certificate-size scaling of the Theorem 1 scheme (vs log2 n, vs the universal map).
 
-Regenerates the certificate-size table of EXPERIMENTS.md and times the honest
+Prints the certificate-size table (experiment E1) and times the honest
 prover, which is the operation whose output the table measures.
 """
 

@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one experiment of the per-experiment index
-in ``DESIGN.md`` / ``EXPERIMENTS.md``: it prints the experiment's table (the
+Every benchmark module regenerates one experiment (E1-E10) of
+:mod:`repro.analysis.experiments`: it prints the experiment's table (the
 "figure" of this reproduction) and uses ``pytest-benchmark`` to time the
 operation that the experiment stresses.  Run with::
 

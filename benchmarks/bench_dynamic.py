@@ -155,7 +155,7 @@ def run_churn(params: dict) -> dict:
     n, cycles = params["mesh_n"], params["cycles"]
     print(f"planarity churn: Delaunay mesh n={n}, {2 * cycles} edge events")
     graph = delaunay_planar_graph(n, seed=SEED)
-    network = Network(graph)
+    network = Network(graph, seed=SEED)
     auditor = DynamicAuditor(network, PlanarityScheme())
     start = time.perf_counter()
     auditor.baseline()
@@ -247,7 +247,7 @@ def run_spot_check(params: dict) -> dict:
     n, swaps = params["tree_n"], params["swaps"]
     print(f"spot-check: tree-pls leaf swaps at n={n}")
     graph = random_tree(n, seed=SEED)
-    network = Network(graph)
+    network = Network(graph, seed=SEED)
     auditor = DynamicAuditor(network, TreeScheme())
     start = time.perf_counter()
     auditor.baseline()
@@ -319,7 +319,7 @@ def run_engine_section(params: dict) -> dict:
     print(f"engine delta invalidation: n={n}, {events} events, "
           "warm (delta patch) vs cold (full rebuild) cache refresh")
     graph = delaunay_planar_graph(n, seed=SEED + 1)
-    network = Network(graph)
+    network = Network(graph, seed=SEED + 1)
     scheme = PlanarityScheme()
     auditor = DynamicAuditor(network, scheme)
     auditor.baseline()

@@ -320,8 +320,9 @@ def run_sweep(legs: list[dict[str, Any]],
             + time.perf_counter() - start
         section_counters = counters.setdefault(
             leg["section"], dict.fromkeys(_COUNTER_KEYS, 0))
-        for key, value in engine.backend_counters.items():
-            section_counters[key] += value
+        counters_now = engine.backend_counters
+        for key in _COUNTER_KEYS:
+            section_counters[key] += counters_now[key]
         outcomes.append([leg["scheme_name"], leg["n"], decisions, counts])
     return outcomes, seconds, counters
 
@@ -373,8 +374,9 @@ def run_batched_sweep(legs: list[dict[str, Any]],
             + time.perf_counter() - start
         section_counters = counters.setdefault(
             section, dict.fromkeys(_COUNTER_KEYS, 0))
-        for key, value in engine.backend_counters.items():
-            section_counters[key] += value
+        counters_now = engine.backend_counters
+        for key in _COUNTER_KEYS:
+            section_counters[key] += counters_now[key]
     return outcomes, seconds, counters
 
 

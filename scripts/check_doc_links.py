@@ -1,9 +1,12 @@
-"""Check the documentation for dead relative links.
+"""Check the documentation for dead relative links and dead citations.
 
 Scans ``README.md`` and ``docs/*.md`` for markdown links and fails when a
 *relative* link target (external ``scheme://`` URLs and pure ``#anchor``
 links are skipped) does not resolve to an existing file or directory,
-relative to the file containing the link.  Run from anywhere::
+relative to the file containing the link.  It also fails when a Python
+file under ``src/``, ``benchmarks/``, ``tests/``, ``scripts/`` or
+``examples/`` cites a ``.md`` file that exists neither at that path from
+the repository root nor under ``docs/``.  Run from anywhere::
 
     python scripts/check_doc_links.py
 """
@@ -17,6 +20,13 @@ from pathlib import Path
 # [text](target) — target captured up to the closing parenthesis; markdown
 # images ![alt](target) match the same way via the trailing "[...](...)"
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+# a markdown file name cited in Python source, e.g. ``docs/KERNELS.md``
+# (a glob such as ``docs/*.md`` is not a name and does not match)
+_MD_CITATION = re.compile(r"[\w./-]*\w\.md\b")
+
+#: directories whose Python files may cite markdown files
+PYTHON_DIRS = ("src", "benchmarks", "tests", "scripts", "examples")
 
 # Core documentation that must exist; the docs/*.md glob alone would let a
 # renamed or deleted file drop out of coverage silently.
@@ -41,6 +51,16 @@ def check_file(path: Path) -> list[str]:
     return errors
 
 
+def check_citations(path: Path, root: Path) -> list[str]:
+    """Dead ``.md`` citations of one Python file."""
+    errors = []
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        for name in _MD_CITATION.findall(line):
+            if not any((base / name).exists() for base in (root, root / "docs")):
+                errors.append(f"{path}:{number}: cites missing {name}")
+    return errors
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     files = [root / name for name in REQUIRED]
@@ -53,11 +73,16 @@ def main() -> int:
             continue
         errors.extend(check_file(path))
         print(f"checked {path.relative_to(root)}")
+    sources = [path for directory in PYTHON_DIRS
+               for path in sorted((root / directory).rglob("*.py"))]
+    for path in sources:
+        errors.extend(check_citations(path, root))
+    print(f"checked the .md citations of {len(sources)} Python files")
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
         return 1
-    print("all relative links resolve")
+    print("all relative links and citations resolve")
     return 0
 
 

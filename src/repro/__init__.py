@@ -15,8 +15,8 @@ The package is organised as:
 * :mod:`repro.lowerbound` -- the lower-bound constructions of Theorem 2;
 * :mod:`repro.baselines` -- the universal scheme and the dMAM interactive
   protocol the paper compares against;
-* :mod:`repro.analysis` -- experiment drivers producing the tables recorded
-  in ``EXPERIMENTS.md``.
+* :mod:`repro.analysis` -- experiment drivers producing the E1-E10 tables
+  the benchmark harness prints.
 """
 
 __version__ = "1.0.0"

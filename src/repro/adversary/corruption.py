@@ -23,6 +23,7 @@ seven schemes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from typing import Any
 
@@ -277,6 +278,22 @@ def corrupt_assignment(certificates: dict[Any, Any], nodes: list[Any],
 # ----------------------------------------------------------------------
 # targeted, structure-aware operators
 # ----------------------------------------------------------------------
+#: the fields that make a dataclass a spanning-tree label
+_TREE_FIELDS = frozenset({"root_id", "parent_id"})
+
+
+@functools.cache
+def _field_names(cls: type) -> frozenset[str] | None:
+    """Field names of dataclass ``cls``; ``None`` for any other class.
+
+    Looked up once per class, because the targeted operators scan every
+    node's certificate.
+    """
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return frozenset(f.name for f in dataclasses.fields(cls))
+
+
 def _tree_label(certificate: Any) -> tuple[Any, str | None]:
     """Locate the spanning-tree-shaped label inside a certificate.
 
@@ -286,17 +303,16 @@ def _tree_label(certificate: Any) -> tuple[Any, str | None]:
     planarity certificates, ``path`` on the Hamiltonian-path ones).
     ``(None, None)`` when the certificate carries no such structure.
     """
-    if certificate is None or not dataclasses.is_dataclass(certificate):
+    names = _field_names(type(certificate))
+    if names is None:
         return None, None
-    names = {f.name for f in dataclasses.fields(certificate)}
-    if {"root_id", "parent_id"} <= names:
+    if _TREE_FIELDS <= names:
         return certificate, None
     for field in ("spanning_tree", "path"):
         nested = getattr(certificate, field, None)
-        if nested is not None and dataclasses.is_dataclass(nested):
-            nested_names = {f.name for f in dataclasses.fields(nested)}
-            if {"root_id", "parent_id"} <= nested_names:
-                return nested, field
+        nested_names = _field_names(type(nested))
+        if nested_names is not None and _TREE_FIELDS <= nested_names:
+            return nested, field
     return None, None
 
 
@@ -346,30 +362,30 @@ def shift_interval_endpoint(certificates: dict[Any, Any], network: Any,
     candidates = []
     for node in network.nodes():
         certificate = certificates.get(node)
-        if certificate is None or not dataclasses.is_dataclass(certificate):
+        if _field_names(type(certificate)) is None:
             continue
         interval = getattr(certificate, "interval", None)
         if isinstance(interval, tuple) and len(interval) == 2:
             candidates.append((node, None))
             continue
         entries = getattr(certificate, "edge_certificates", None)
-        if isinstance(entries, tuple):
-            slots = [i for i, entry in enumerate(entries)
-                     if getattr(entry, "intervals", ())]
-            if slots:
-                candidates.append((node, slots))
+        if isinstance(entries, tuple) and \
+                any(getattr(entry, "intervals", ()) for entry in entries):
+            candidates.append((node, entries))
     if not candidates:
         return corrupt_assignment(certificates, list(network.nodes()), rng)
-    node, slots = candidates[rng.randrange(len(candidates))]
+    node, entries = candidates[rng.randrange(len(candidates))]
     certificate = certificates[node]
     delta = rng.choice([-1, 1])
     mutated = dict(certificates)
-    if slots is None:
+    if entries is None:
         low, high = certificate.interval
         shifted = (low + delta, high) if rng.random() < 0.5 else (low, high + delta)
         mutated[node] = dataclasses.replace(certificate, interval=shifted)
         return mutated
-    entries = list(certificate.edge_certificates)
+    slots = [i for i, entry in enumerate(entries)
+             if getattr(entry, "intervals", ())]
+    entries = list(entries)
     at = slots[rng.randrange(len(slots))]
     entry = entries[at]
     intervals = list(entry.intervals)

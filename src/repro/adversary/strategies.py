@@ -144,10 +144,10 @@ class CoordinatedRootSplit:
                         if neighbor not in region]
             region.update(frontier)
 
+        # only existing keys are rewritten, so the visiting order of the
+        # region leaves the output (and its key order) unchanged
         mutated = dict(certificates)
-        for node in network.nodes():
-            if node not in region:
-                continue
+        for node in region:
             certificate = certificates.get(node)
             label, field = _tree_label(certificate)
             if label is None:

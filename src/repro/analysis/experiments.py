@@ -1,9 +1,8 @@
-"""Experiment drivers (one per entry of the DESIGN.md per-experiment index).
+"""Experiment drivers (E1-E10, one per claim of the paper they reproduce).
 
-Every function returns a list of plain dictionaries (rows) so the benchmark
-harness and EXPERIMENTS.md generation can render the same tables, and so
-tests can assert the qualitative claims (who wins, by what kind of factor)
-without string parsing.
+Every function returns a list of plain dictionaries (rows), so the benchmark
+harness can render the tables and the tests can assert the qualitative
+claims (who wins, by what kind of factor) without string parsing.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ certificate sizes of the planarity scheme must grow like ``c * log2(n)``
 (upper bound), while every locally checkable proof needs
 ``Omega(log n)`` bits (lower bound) and the universal baseline pays
 ``Theta(n log n)``.  The helpers here perform the corresponding least-squares
-fits and report the goodness of fit, so EXPERIMENTS.md can state "measured
+fits and report the goodness of fit, so a report can state "measured
 max certificate size = a*log2(n) + b with R^2 = ..." precisely.
 """
 

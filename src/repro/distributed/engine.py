@@ -24,7 +24,12 @@ certificate assignment out of the per-trial loop:
 * **decision-only verification** — adversarial attacks only need the number
   of accepting nodes, so :meth:`count_accepting` skips the bit-exact
   certificate-size accounting that :func:`run_verification` performs on
-  every call;
+  every call.  Under the vectorized backend an attack also pays only for
+  what it changed: the verifier has radius 1, so the engine keeps the
+  kernel's decisions on each cached honest assignment and, for an
+  assignment that differs from it (by certificate identity) within a small
+  closed neighbourhood, re-decides just that ball with the reference
+  verifier and takes every other decision from the honest vector;
 * **trial fan-out** — independent trials (completeness sweep points,
   soundness attacks) can be distributed over a process pool with
   :meth:`run_trials`, with per-trial seeds derived deterministically from the
@@ -70,7 +75,8 @@ Every decision takes one path.  :meth:`verify` and :meth:`count_accepting`
 are one-item :meth:`verify_batch` / :meth:`count_accepting_batch` calls;
 one helper runs every kernel invocation (single network, batched chunk or
 dMAM round) with its span, counters and flagged-node re-decide; and one
-reference loop serves every reference pass, PLS and interactive alike.
+reference loop serves every reference pass, PLS and interactive alike,
+whole networks as well as the balls of local decides.
 Everything cached about a network lives in one record, dropped whole when
 the network goes away and patched (or started afresh) when its graph
 mutates.
@@ -88,6 +94,8 @@ import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import is_not
 from typing import Any
 
 from repro.distributed.interactive import (
@@ -119,8 +127,16 @@ BACKENDS = ("reference", "vectorized")
 #: (a fixed subset of the engine's :class:`MetricsRegistry` counters)
 _BACKEND_COUNTER_KEYS = (
     "kernel_calls", "kernel_nodes", "fallback_nodes", "fallback_networks",
-    "reference_calls", "reference_nodes",
+    "reference_calls", "reference_nodes", "local_items", "local_nodes",
 )
+
+#: a vectorized decide re-decides only the changed ball of an item when the
+#: ball holds at most ``n // _LOCAL_BALL_DIVISOR`` of the network's ``n``
+#: nodes, and kernel-decides the whole item otherwise.  Measured on
+#: planarity meshes of n = 500-1500 on a 2-CPU x86-64 host: the reference
+#: verifier took 58-117 us per node, the batched kernel 10-13 us per node
+#: of the network, which puts the crossover between n/9 and n/5.
+_LOCAL_BALL_DIVISOR = 8
 
 
 #: nodes per batched super-CSR chunk when the kernel does not declare its
@@ -169,6 +185,29 @@ def _accepting(accept: Any) -> int:
     return int(accept.sum()) if hasattr(accept, "sum") else sum(accept)
 
 
+def _changed_ball(network: Network, decided: Sequence[Any],
+                  certificates: dict[Node, Any]) -> list[int] | None:
+    """Node indices whose radius-1 view can differ from the decided assignment.
+
+    A node's certificate has changed when it is not the very object at its
+    position of ``decided`` (the decided certificates in node order); the
+    ball is every changed node and its CSR neighbours, in node order.
+    ``None`` when it holds more than ``n // _LOCAL_BALL_DIVISOR`` nodes.
+    """
+    indexed = network.graph.indexed()
+    limit = len(decided) // _LOCAL_BALL_DIVISOR
+    changed = list(compress(count(), map(is_not, map(certificates.get,
+                                                     indexed.labels),
+                                         decided)))
+    if len(changed) > limit:
+        return None
+    indptr, indices = indexed.indptr, indexed.indices
+    ball = set(changed)
+    for i in changed:
+        ball.update(indices[indptr[i]:indptr[i + 1]])
+    return sorted(ball) if len(ball) <= limit else None
+
+
 @dataclass(frozen=True)
 class InteractiveSoundnessEstimate:
     """Acceptance statistics of an interactive protocol over many challenge draws.
@@ -215,6 +254,23 @@ _UNSET = object()
 
 
 @dataclass(eq=False)
+class _HonestDecision:
+    """The kernel's decisions on one cached honest assignment.
+
+    Local decides diff an item against :attr:`certificates` by identity, so
+    the snapshot, not the live honest dict (which its owner may still
+    mutate), is what :attr:`accept` is known to decide.
+    """
+
+    #: the honest certificate objects in node order, as decided
+    certificates: list[Any]
+    #: private copy of the kernel's accept vector for them
+    accept: Any
+    #: accepting-node count of :attr:`accept`
+    accepting: int
+
+
+@dataclass(eq=False)
 class _NetworkState:
     """Everything a :class:`SimulationEngine` caches about one network.
 
@@ -239,6 +295,10 @@ class _NetworkState:
     #: instances of the same scheme class can carry different prover state,
     #: e.g. an explicit witness)
     honest: dict[int, dict[Node, Any]] = field(default_factory=dict)
+    #: the kernel's decisions on each honest assignment, under the same
+    #: ``id(scheme)`` key; filled by the first vectorized decide that meets
+    #: the network and scheme, dropped with the honest assignment
+    decided: dict[int, _HonestDecision] = field(default_factory=dict)
     #: encoded certificate sizes of the honest assignments, per
     #: ``id(certificates)``
     sizes: dict[int, dict[Node, int]] = field(default_factory=dict)
@@ -260,10 +320,10 @@ class _NetworkState:
         on the CSR patch of :meth:`IndexedGraph.patched
         <repro.graphs.indexed.IndexedGraph.patched>`), both byte-identical
         to a from-scratch rebuild.  *Assignment-shaped* artifacts — honest
-        certificates, size statistics, first turns, dMAM round states,
-        fingerprints, deeper-radius structures — have no bounded delta form
-        and stay behind, as does a cached refusal (an isolated node may
-        have gained an edge).
+        certificates and their decisions, size statistics, first turns, dMAM
+        round states, fingerprints, deeper-radius structures — have no
+        bounded delta form and stay behind, as does a cached refusal (an
+        isolated node may have gained an edge).
 
         Returns ``None`` when the journal cannot vouch for the mutation
         (truncated, node operations, or more than
@@ -530,15 +590,18 @@ class SimulationEngine:
                      backend: str | None = None) -> list[VerificationResult]:
         """:meth:`verify` over many ``(network, certificates)`` items at once.
 
-        Under the vectorized backend the representable items are decided with
-        one kernel invocation per batch chunk (see :meth:`_kernel_items`);
-        every other item — and every item under the reference backend — runs
-        the reference loop.  The returned results are field-for-field
-        identical to calling :meth:`verify` per item, in item order.
+        Under the vectorized backend an item that changes a small ball of a
+        decided honest assignment is re-decided on that ball only (see
+        :meth:`_local_items`), and the other representable items are decided
+        with one kernel invocation per batch chunk (see
+        :meth:`_kernel_items`); every other item — and every item under the
+        reference backend — runs the reference loop.  The returned results
+        are field-for-field identical to calling :meth:`verify` per item, in
+        item order.
         """
         items = list(network_certificates)
         results = []
-        for (network, certificates), accept in zip(
+        for (network, certificates), (accept, _) in zip(
                 items, self._decide_items(scheme, items, backend)):
             results.append(VerificationResult(
                 scheme_name=scheme.name,
@@ -559,21 +622,26 @@ class SimulationEngine:
         per-item method's.
         """
         items = list(network_certificates)
-        return [_accepting(accept)
-                for accept in self._decide_items(scheme, items, backend)]
+        return [accepting for _, accepting
+                in self._decide_items(scheme, items, backend)]
 
     def _decide_items(self, scheme: ProofLabelingScheme,
                       items: Sequence[tuple[Network, dict[Node, Any]]],
-                      backend: str | None) -> list[Any]:
-        """Per-item accept vectors in node order: the one PLS decision path.
+                      backend: str | None) -> list[tuple[Any, int]]:
+        """Per-item ``(accept vector in node order, accepting count)``: the
+        one PLS decision path.
 
-        Under the vectorized backend every item with a vector context is
-        decided by the scheme's kernel (:meth:`_kernel_items`).  Every other
-        item — all of them under the reference backend — runs the reference
-        loop, after its whole-network fallback (radius > 1, no kernel, or a
+        Under the vectorized backend an item whose changes from its
+        network's decided honest assignment fit a small ball is decided
+        locally (:meth:`_local_items`), and every other item with a vector
+        context by the scheme's kernel (:meth:`_kernel_items`).  Every
+        remaining item — all of them under the reference backend, which
+        stays the oracle — runs the reference loop over the whole network,
+        after its whole-network fallback (radius > 1, no kernel, or a
         network the compiler refuses) is counted and attributed.
         """
         accepts: list[Any] = [None] * len(items)
+        counts: list[int | None] = [None] * len(items)
         reason = None
         if self._resolve_backend(backend) == "vectorized":
             radius_ok = scheme.verification_radius == 1
@@ -584,6 +652,7 @@ class SimulationEngine:
                 reason = "no_kernel"
             else:
                 reason = "refused_network"
+                self._local_items(scheme, kernel, items, accepts, counts)
                 self._kernel_items(scheme, kernel, items, accepts)
         for idx, (network, certificates) in enumerate(items):
             if accepts[idx] is None:
@@ -592,12 +661,88 @@ class SimulationEngine:
                 accepts[idx] = self._reference(
                     scheme.name, network, scheme.verification_radius,
                     self._pls_decide(scheme, certificates))
-        return accepts
+        return [(accept, _accepting(accept) if accepting is None else accepting)
+                for accept, accepting in zip(accepts, counts)]
+
+    def _local_items(self, scheme: ProofLabelingScheme, kernel: Any,
+                     items: Sequence[tuple[Network, dict[Node, Any]]],
+                     accepts: list[Any], counts: list[int | None]) -> None:
+        """Fill ``accepts`` and ``counts`` for every item decided locally.
+
+        An item is local when its network has a decided honest assignment
+        for ``scheme`` (:meth:`_honest_decision`) and the certificates it
+        changed, found by identity, have a closed neighbourhood of at most
+        ``n // _LOCAL_BALL_DIVISOR`` nodes (:func:`_changed_ball`).  Radius-1
+        verification means only that ball can decide differently: it is
+        re-decided by the reference verifier and every other decision comes
+        from the honest vector.  The count is the honest count, minus the
+        honest accepts in the ball, plus the ball's new accepts.  Other
+        items are left for the kernel.  Counted in ``local_items`` /
+        ``local_nodes`` and timed in one ``local_decide`` span per call.
+        """
+        pending = []
+        for idx, (network, _) in enumerate(items):
+            decided = self._honest_decision(scheme, kernel, network)
+            if decided is not None:
+                pending.append((idx, decided))
+        if not pending:
+            return
+        counters = self._backend_counters
+        with current_tracer().span("local_decide") as sp:
+            local = nodes = 0
+            for idx, decided in pending:
+                network, certificates = items[idx]
+                ball = _changed_ball(network, decided.certificates,
+                                     certificates)
+                if ball is None:
+                    continue
+                accept = decided.accept.copy()
+                accepting = decided.accepting
+                if ball:
+                    fresh = self._reference(
+                        scheme.name, network, 1,
+                        self._pls_decide(scheme, certificates), ball)
+                    accepting += sum(fresh) - int(accept[ball].sum())
+                    accept[ball] = fresh
+                accepts[idx], counts[idx] = accept, accepting
+                local += 1
+                nodes += len(ball)
+            counters["local_items"] += local
+            counters["local_nodes"] += nodes
+            if sp:
+                sp.set(scheme=scheme.name, items=local, nodes=nodes)
+
+    def _honest_decision(self, scheme: ProofLabelingScheme, kernel: Any,
+                         network: Network) -> _HonestDecision | None:
+        """The kernel's decisions on ``network``'s cached honest assignment.
+
+        Decided by one kernel call the first time a vectorized decide meets
+        the network and scheme, then kept in the network's record until the
+        honest assignment is dropped.  ``None`` when :meth:`certify` cached
+        no assignment for ``scheme`` or the compiler refuses the network.
+        """
+        state = self._state(network)
+        key = id(scheme)
+        decided = state.decided.get(key)
+        if decided is None:
+            honest = state.honest.get(key)
+            ctx = None if honest is None else self._vector_context(network)
+            if ctx is None:
+                return None
+            accept = self._kernel(
+                scheme.name, ctx,
+                lambda: kernel.accept_vector(ctx, scheme, honest),
+                lambda: [(network, self._pls_decide(scheme, honest))],
+                network=network)
+            snapshot = list(map(honest.get, network.graph.indexed().labels))
+            decided = state.decided[key] = _HonestDecision(
+                snapshot, accept.copy(), _accepting(accept))
+        return decided
 
     def _kernel_items(self, scheme: ProofLabelingScheme, kernel: Any,
                       items: Sequence[tuple[Network, dict[Node, Any]]],
                       accepts: list[Any]) -> None:
-        """Fill ``accepts`` for every item that has a vector context.
+        """Fill ``accepts`` for every undecided item that has a vector context.
 
         The items are packed greedily, in order, into chunks of at most the
         kernel's ``batch_node_budget`` nodes (default
@@ -617,7 +762,8 @@ class SimulationEngine:
         groups: list[list[int]] = []
         total = 0
         for idx, (network, _) in enumerate(items):
-            ctx = self._vector_context(network)
+            ctx = None if accepts[idx] is not None \
+                else self._vector_context(network)
             if ctx is None:
                 continue
             if not groups or total + ctx.n > budget:
@@ -714,7 +860,8 @@ class SimulationEngine:
         whole-network pass counted in ``reference_calls`` /
         ``reference_nodes`` and timed in a ``reference_loop`` span; a
         sequence of node indices re-decides just those nodes (a kernel's
-        flagged nodes).  Structures stream above ``stream_node_threshold``
+        flagged nodes, or the ball of a local decide), counted and timed by
+        the caller.  Structures stream above ``stream_node_threshold``
         (:meth:`_structures_for`).
         """
         structures = self._structures_for(network, radius, nodes)
@@ -927,10 +1074,15 @@ class SimulationEngine:
         reference loop — both deliberate ``backend="reference"`` calls and
         vectorized-backend calls that fell back wholesale — so
         mixed-backend comparisons report coverage for *both* sides instead
-        of silently carrying stale vectorized counts.  Together with
-        wall-clock these make backend coverage a tracked benchmark quantity
-        — a regression that silently reverts a kernel to its fallback path
-        shows up here even when decisions stay identical.
+        of silently carrying stale vectorized counts.  ``local_items`` /
+        ``local_nodes`` count the vectorized-backend items decided locally
+        and the ball nodes the reference verifier re-decided for them (an
+        unchanged honest assignment is a local item with no ball nodes);
+        those items count in neither the kernel nor the reference
+        counters.  Together with wall-clock these make backend coverage a
+        tracked benchmark quantity — a regression that silently reverts a
+        kernel to its fallback path shows up here even when decisions stay
+        identical.
 
         The counters live in the engine's :attr:`metrics` registry (this
         property is a compatibility view over the
@@ -950,15 +1102,16 @@ class SimulationEngine:
         """Track a scheme or protocol whose artifacts the engine caches.
 
         Returns ``id(owner)`` after registering a weakref finalizer that
-        evicts the owner's cached prover artifacts (and their size stats)
-        and first-turn artifacts from every network's record when the owner
-        is garbage-collected.
+        evicts the owner's cached prover artifacts (with their decisions and
+        size stats) and first-turn artifacts from every network's record
+        when the owner is garbage-collected.
         """
         owner_key = id(owner)
         if owner_key not in self._owners:
             def _evict(_ref: weakref.ref, owner_key: int = owner_key) -> None:
                 for state in self._states.values():
                     certificates = state.honest.pop(owner_key, None)
+                    state.decided.pop(owner_key, None)
                     if certificates is not None:
                         # drop the size stats keyed by the freed dict's id as
                         # well, or a later allocation at the recycled address

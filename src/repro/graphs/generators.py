@@ -1,6 +1,6 @@
 """Graph generators used by the tests, examples and benchmark harness.
 
-The paper's evaluation-by-theorem (see ``EXPERIMENTS.md``) needs a varied
+The paper's evaluation-by-theorem (:mod:`repro.analysis.experiments`) needs a varied
 supply of *yes*-instances (planar graphs of many shapes) and *no*-instances
 (graphs containing a ``K5`` or ``K3,3`` minor).  All generators are
 deterministic given a ``seed`` so that experiments are reproducible.

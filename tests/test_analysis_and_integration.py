@@ -1,6 +1,6 @@
 """Tests for the experiment drivers plus end-to-end integration checks.
 
-The integration tests assert the *qualitative* content of EXPERIMENTS.md: the
+The integration tests assert the *qualitative* claims of the experiments: the
 Theorem 1 scheme accepts planar inputs with certificates growing like
 ``log n``, rejects non-planar inputs under the attacks we implement, beats
 the universal baseline by a widening factor, and sits above the Theorem 2

@@ -16,6 +16,7 @@ from repro.adversary.corruption import (
     int_fields,
     mutate_nested_certificate,
 )
+from repro.adversary.strategies import STRATEGIES
 from repro.core.building_blocks import PathGraphScheme, TreeScheme
 from repro.core.nonplanarity_scheme import NonPlanarityScheme, SubdivisionRole
 from repro.core.planarity_scheme import PlanarityScheme
@@ -841,3 +842,194 @@ class TestInteractiveRoundKernel:
         transcript_r = SimulationEngine(backend="reference").run_interactive(
             proto, network, seed=5)
         assert transcript_v == transcript_r
+
+
+# ----------------------------------------------------------------------
+# local decides: only the changed ball of a decided honest assignment
+# ----------------------------------------------------------------------
+def _certified(scheme_name, size=200, seed=5):
+    """A vectorized engine holding a decided honest assignment.
+
+    Sizes stay small where reference verification is expensive (each
+    universal-map node re-checks the whole map)."""
+    if scheme_name == "universal-map-pls":
+        size = 16
+    scheme = default_registry().create(scheme_name)
+    network = Network(_family_graph(scheme_name, size, seed=seed), seed=seed)
+    engine = SimulationEngine(backend="vectorized")
+    honest = engine.certify(scheme, network)
+    engine.verify(scheme, network, honest)
+    return engine, scheme, network, honest
+
+
+def _decided(engine, network, scheme):
+    return engine._states[id(network)].decided.get(id(scheme))
+
+
+class TestLocalDecide:
+    """Under the vectorized backend an assignment that changes a small ball
+    of a cached honest assignment is re-decided on that ball only; every
+    decision and count must equal the reference verifier's."""
+
+    @pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
+    @pytest.mark.parametrize("scheme_name", pls_kernel_names())
+    def test_strategies_match_reference(self, scheme_name, strategy_name):
+        engine, scheme, network, honest = _certified(scheme_name)
+        strategy = STRATEGIES[strategy_name]()
+        items = [(network, strategy.corrupt(network, honest,
+                                            random.Random(trial)))
+                 for trial in range(4)]
+        engine.reset_backend_counters()
+        counts = engine.count_accepting_batch(scheme, items)
+        results = engine.verify_batch(scheme, items)
+        assert counts == engine.count_accepting_batch(scheme, items,
+                                                      backend="reference")
+        for (_, certificates), count, result in zip(items, counts, results):
+            reference = run_verification(scheme, network, certificates)
+            assert result.decisions == reference.decisions
+            assert result.certificate_bits == reference.certificate_bits
+            assert count == sum(reference.decisions.values())
+        if scheme_name == "planarity-pls":
+            assert engine.backend_counters["local_items"] > 0
+
+    def test_one_changed_certificate_redecides_its_closed_neighbourhood(self):
+        engine, scheme, network, honest = _certified("planarity-pls")
+        node = next(iter(network.nodes()))
+        certificates = dict(honest)
+        certificates[node] = None
+        engine.reset_backend_counters()
+        count = engine.count_accepting(scheme, network, certificates)
+        counters = engine.backend_counters
+        assert counters["local_items"] == 1
+        assert counters["local_nodes"] == 1 + network.graph.degree(node)
+        assert counters["kernel_calls"] == counters["reference_calls"] == 0
+        assert count == sum(run_verification(
+            scheme, network, certificates).decisions.values())
+        assert count < network.size
+
+    def test_unchanged_honest_assignment_needs_no_kernel_call(self):
+        engine, scheme, network, honest = _certified("planarity-pls")
+        engine.reset_backend_counters()
+        assert engine.verify(scheme, network, honest).accepted
+        assert engine.count_accepting(scheme, network, honest) == network.size
+        counters = engine.backend_counters
+        assert counters["kernel_calls"] == 0
+        assert counters["local_items"] == 2
+        assert counters["local_nodes"] == 0
+
+    def test_copied_certificates_take_the_kernel_path(self):
+        import copy
+
+        engine, scheme, network, honest = _certified("planarity-pls")
+        copied = {node: copy.copy(cert) for node, cert in honest.items()}
+        node = next(node for node, cert in copied.items()
+                    if cert.spanning_tree.parent_id is not None)
+        copied[node] = dataclasses.replace(
+            copied[node], spanning_tree=dataclasses.replace(
+                copied[node].spanning_tree, parent_id=None))
+        kernel_calls = engine.backend_counters["kernel_calls"]
+        local_items = engine.backend_counters["local_items"]
+        result = engine.verify(scheme, network, copied)
+        assert engine.backend_counters["kernel_calls"] == kernel_calls + 1
+        assert engine.backend_counters["local_items"] == local_items
+        assert result.decisions == \
+            run_verification(scheme, network, copied).decisions
+        assert not result.accepted
+
+    def test_in_place_mutation_of_the_honest_dict_is_seen(self):
+        engine, scheme, network, honest = _certified("planarity-pls")
+        assert _decided(engine, network, scheme) is not None
+        victim = next(iter(network.nodes()))
+        honest[victim] = None  # after its decisions were recorded
+        result = engine.verify(scheme, network, honest)
+        expected = run_verification(scheme, network, honest).decisions
+        assert result.decisions == expected
+        assert not result.accepted
+        assert engine.count_accepting(scheme, network, honest) == \
+            sum(expected.values())
+
+    def test_graph_mutation_drops_the_record(self):
+        engine, scheme, network, honest = _certified("planarity-pls")
+        assert _decided(engine, network, scheme) is not None
+        graph = network.graph
+        u, v = next((u, v) for u in graph.nodes() for v in graph.nodes()
+                    if u != v and not graph.has_edge(u, v))
+        graph.add_edge(u, v)
+        result = engine.verify(scheme, network, honest)
+        assert _decided(engine, network, scheme) is None
+        assert not engine._state(network).honest
+        assert result.decisions == \
+            run_verification(scheme, network, honest).decisions
+
+    def test_scheme_collection_drops_the_record(self):
+        import gc
+
+        engine, scheme, network, honest = _certified("planarity-pls")
+        state = engine._states[id(network)]
+        assert state.decided and state.honest
+        del scheme
+        gc.collect()
+        assert not state.decided and not state.honest
+
+    def test_reference_backend_still_decides_every_node(self):
+        engine, scheme, network, honest = _certified("planarity-pls")
+        forged = dict(honest)
+        forged[next(iter(network.nodes()))] = None
+        for certificates in (honest, forged):
+            before = engine.backend_counters
+            result = engine.verify(scheme, network, certificates,
+                                   backend="reference")
+            after = engine.backend_counters
+            assert after["reference_calls"] == before["reference_calls"] + 1
+            assert after["reference_nodes"] == \
+                before["reference_nodes"] + network.size
+            assert after["local_items"] == before["local_items"]
+            assert result.decisions == \
+                run_verification(scheme, network, certificates).decisions
+
+    def test_one_local_decide_span_per_call(self):
+        from repro.observability import start_tracing, stop_tracing
+
+        engine, scheme, network, honest = _certified("planarity-pls")
+        nodes = list(network.nodes())
+        items = []
+        for node in nodes[:3]:
+            certificates = dict(honest)
+            certificates[node] = None
+            items.append((network, certificates))
+        tracer = start_tracing()
+        try:
+            engine.count_accepting_batch(scheme, items)
+        finally:
+            stop_tracing()
+        [span] = [span for span in tracer.spans if span.name == "local_decide"]
+        assert span.attributes["items"] == 3
+        assert span.attributes["nodes"] == engine.backend_counters["local_nodes"]
+        assert not any(span.name.startswith("kernel:")
+                       for span in tracer.spans)
+
+
+#: SHA-256 over ``repr`` of every strategy's output for rng seeds 0-2 on
+#: seeded 200-node instances; fixes the corruption draw order (recorded
+#: before the operators' node scans were made cheaper)
+_DRAW_ORDER_DIGESTS = {
+    "planarity-pls": "83a80504695c886df4c3cfd9a4de85adbadf4e8bb9529eb7f5f500a995b60ad1",
+    "tree-pls": "a28c2ae6c0e2c475f3553bd75e070e61838cd6a436ebdde5bf76ad5f0416923c",
+}
+
+
+@pytest.mark.parametrize("scheme_name", sorted(_DRAW_ORDER_DIGESTS))
+def test_corruption_draw_order_is_pinned(scheme_name):
+    import hashlib
+
+    graph = delaunay_planar_graph(200, seed=7) \
+        if scheme_name == "planarity-pls" else random_tree(200, seed=7)
+    network = Network(graph, seed=7)
+    honest = default_registry().create(scheme_name).prove(network)
+    digest = hashlib.sha256()
+    for name in sorted(STRATEGIES):
+        for seed in range(3):
+            corrupted = STRATEGIES[name]().corrupt(network, honest,
+                                                  random.Random(seed))
+            digest.update(repr(corrupted).encode())
+    assert digest.hexdigest() == _DRAW_ORDER_DIGESTS[scheme_name]
