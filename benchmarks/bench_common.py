@@ -3,9 +3,10 @@
 Every benchmark module regenerates one experiment (E1-E10) of
 :mod:`repro.analysis.experiments`: it prints the experiment's table (the
 "figure" of this reproduction) and uses ``pytest-benchmark`` to time the
-operation that the experiment stresses.  Run with::
+operation that the experiment stresses.  The files do not match pytest's
+``test_*.py`` pattern, so name them when running from the repository root::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py --benchmark-only -s
 
 The standalone sweep scripts (``bench_engine.py``, ``bench_vectorized.py``,
 ``bench_protocols.py``) import :func:`provenance` from here so every
@@ -55,17 +56,30 @@ def effective_cpu_count() -> int | None:
         return os.cpu_count()
 
 
-def _git_commit() -> str | None:
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if result.returncode != 0:
-        return None
-    return result.stdout.strip() or None
+#: the checkout this harness lives in
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git_state() -> tuple[str | None, bool | None]:
+    """(commit, dirty flag) of the checkout, or ``None`` outside a git tree.
+
+    Only a ``.git`` at the checkout root counts, so git never searches the
+    directories above the checkout.  The tree is dirty when a tracked file
+    differs from the commit.
+    """
+    if not (ROOT / ".git").exists():
+        return None, None
+
+    def git(*args: str) -> str | None:
+        try:
+            result = subprocess.run(["git", "-C", str(ROOT), *args],
+                                    capture_output=True, text=True, timeout=10)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return result.stdout.strip() if result.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return git("rev-parse", "HEAD") or None, None if status is None else bool(status)
 
 
 def provenance(workers: int | None = None,
@@ -78,15 +92,17 @@ def provenance(workers: int | None = None,
     the machine-wide ``cpu_count``) tells a reader whether a pooled row
     could possibly have shown a speedup on this box.  ``pool_start_method``
     records the :meth:`run_trials` start-method pin (always ``spawn``).  The numpy
-    version and the git commit the numbers were measured at (``None`` when
-    unavailable, e.g. outside a checkout) make the committed ``BENCH_*.json``
-    payloads attributable to an exact kernel implementation.
+    version, the git commit the numbers were measured at and whether tracked
+    files differed from it (``git_dirty``; both ``None`` when unavailable,
+    e.g. outside a checkout) make the committed ``BENCH_*.json`` payloads
+    attributable to an exact kernel implementation.
 
     ``observability`` embeds a metrics/span snapshot (see
     :func:`observability_snapshot`) so a committed payload also records
     *where* the measured time went — kernel calls, fallback attribution,
     per-phase self-times — not just the section totals.
     """
+    commit, dirty = _git_state()
     info: dict[str, Any] = {
         "python_version": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -95,7 +111,8 @@ def provenance(workers: int | None = None,
         "effective_cpus": effective_cpu_count(),
         "pool_start_method": "spawn",  # run_trials pins it on every platform
         "numpy_version": _numpy_version(),
-        "git_commit": _git_commit(),
+        "git_commit": commit,
+        "git_dirty": dirty,
     }
     if workers is not None:
         info["workers"] = workers

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any
 
 from bench_common import provenance
-from repro.distributed.adversary import random_certificate_attack, transplant_attack
+from repro.adversary.attacks import random_certificate_attack, transplant_attack
 from repro.distributed.engine import SimulationEngine
 from repro.distributed.network import Network
 from repro.distributed.registry import default_registry

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from conftest import emit
 
+from repro.adversary.attacks import transplant_attack
 from repro.analysis.experiments import soundness_experiment
-from repro.distributed.adversary import transplant_attack
 from repro.distributed.engine import SimulationEngine
 from repro.distributed.registry import default_registry
 from repro.graphs.generators import planar_plus_random_edges

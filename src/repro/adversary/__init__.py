@@ -1,7 +1,11 @@
-"""Adversary campaign framework (E3 extended).
+"""The adversary layer (E3): every attack on the soundness of a scheme.
 
-The package gathers everything a soundness campaign needs under one roof:
+The package gathers everything a soundness experiment needs under one roof:
 
+* :mod:`~repro.adversary.attacks` — the one-shot adversarial provers
+  (random / transplant / exhaustive) and
+  :func:`~repro.adversary.attacks.decide_in_chunks`, the one loop through
+  which every attack and campaign cell is decided;
 * :mod:`~repro.adversary.corruption` — the shared corruption vocabulary:
   the differential-fuzz mutation operators (promoted from the vectorized
   test harness so tests and campaigns corrupt certificates identically)
@@ -13,12 +17,14 @@ The package gathers everything a soundness campaign needs under one roof:
   ``m / p`` fingerprint bound;
 * :mod:`~repro.adversary.campaign` — the strategy x scheme x n sweep
   driver feeding ``BENCH_adversary.json``.
-
-The one-shot attack primitives of :mod:`repro.distributed.adversary`
-(random / transplant / exhaustive) are re-exported here so existing code
-has a single import surface for adversarial tooling.
 """
 
+from repro.adversary.attacks import (
+    AttackResult,
+    exhaustive_attack,
+    random_certificate_attack,
+    transplant_attack,
+)
 from repro.adversary.campaign import (
     CampaignCell,
     CampaignRunner,
@@ -47,15 +53,13 @@ from repro.adversary.strategies import (
     RandomCorruption,
     TargetedRootLie,
 )
-from repro.distributed.adversary import (
-    AttackResult,
-    attack_summary_rows,
-    exhaustive_attack,
-    random_certificate_attack,
-    transplant_attack,
-)
 
 __all__ = [
+    # one-shot attacks
+    "AttackResult",
+    "random_certificate_attack",
+    "transplant_attack",
+    "exhaustive_attack",
     # corruption vocabulary
     "int_fields",
     "mutate_nested_certificate",
@@ -80,10 +84,4 @@ __all__ = [
     "CampaignRunner",
     "default_cells",
     "run_campaign_cell",
-    # legacy one-shot attacks
-    "AttackResult",
-    "random_certificate_attack",
-    "transplant_attack",
-    "exhaustive_attack",
-    "attack_summary_rows",
 ]

@@ -20,7 +20,9 @@ every structural corruption at some node.  Cells report how many trials
 fooled every node ("undetected": possible when an operator happens to be
 semantically neutral, e.g. swapping two equal certificates) and the mean
 accepting fraction — the campaign-side complement of the one-shot attacks
-in :mod:`repro.distributed.adversary`.
+in :mod:`repro.adversary.attacks`, decided through the same
+:func:`~repro.adversary.attacks.decide_in_chunks` loop (a cell never stops
+early: it decides every trial).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
+from repro.adversary.attacks import decide_in_chunks
 from repro.adversary.strategies import STRATEGIES
 from repro.distributed.engine import SimulationEngine, derive_seed
 from repro.distributed.registry import default_registry
@@ -48,11 +51,6 @@ __all__ = [
     "default_cells",
     "run_campaign_cell",
 ]
-
-#: corruption trials evaluated per batched kernel call (matches the
-#: one-shot attacks' chunking)
-_CHUNK_TRIALS = 16
-
 
 @dataclass(frozen=True)
 class CampaignCell:
@@ -108,9 +106,9 @@ def run_campaign_cell(spec: tuple) -> dict[str, Any]:
     """Evaluate one campaign cell; the :meth:`run_trials` worker.
 
     Takes the plain-data spec of :meth:`CampaignCell.spec` and returns a
-    JSON-safe row.  Trials are staged in chunks through
-    :meth:`~repro.distributed.engine.SimulationEngine.count_accepting_batch`
-    so eligible schemes decide a whole chunk with one kernel pass.
+    JSON-safe row.  Trials are decided by
+    :func:`~repro.adversary.attacks.decide_in_chunks`, so eligible schemes
+    decide a whole chunk with one kernel pass.
     """
     strategy_name, scheme_name, n, trials, seed, backend = spec
     engine = _engine_for(backend)
@@ -123,17 +121,10 @@ def run_campaign_cell(spec: tuple) -> dict[str, Any]:
     certificates = engine.certify(scheme, network)
     strategy = STRATEGIES[strategy_name]()
     total = network.size
-    counts: list[int] = []
-    index = 0
-    while index < trials:
-        chunk = min(_CHUNK_TRIALS, trials - index)
-        items = []
-        for t in range(index, index + chunk):
-            rng = random.Random(derive_seed(seed, t))
-            items.append((network,
-                          strategy.corrupt(network, certificates, rng)))
-        counts.extend(engine.count_accepting_batch(scheme, items))
-        index += chunk
+    corrupted = (strategy.corrupt(network, certificates,
+                                  random.Random(derive_seed(seed, t)))
+                 for t in range(trials))
+    counts = decide_in_chunks(engine, scheme, network, corrupted)
     undetected = sum(1 for count in counts if count == total)
     return {
         "strategy": strategy_name,

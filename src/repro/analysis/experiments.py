@@ -12,10 +12,10 @@ import random
 import time
 from typing import Any
 
+from repro.adversary.attacks import random_certificate_attack, transplant_attack
 from repro.analysis.fitting import fit_log_scaling
 from repro.baselines.comparison import compare_schemes_on
 from repro.core.path_outerplanar import random_path_outerplanar_graph
-from repro.distributed.adversary import random_certificate_attack, transplant_attack
 from repro.distributed.engine import SimulationEngine
 from repro.distributed.network import Network
 from repro.distributed.registry import default_registry

@@ -25,12 +25,6 @@ from repro.distributed.interactive import (
     run_interactive_protocol,
 )
 from repro.distributed.views import assemble_view, materialize_structures
-from repro.distributed.adversary import (
-    AttackResult,
-    exhaustive_attack,
-    random_certificate_attack,
-    transplant_attack,
-)
 
 __all__ = [
     "BitReader",
@@ -60,8 +54,4 @@ __all__ = [
     "run_interactive_protocol",
     "assemble_view",
     "materialize_structures",
-    "AttackResult",
-    "exhaustive_attack",
-    "random_certificate_attack",
-    "transplant_attack",
 ]

@@ -1,258 +1,25 @@
-"""Patch compiled vectorized artifacts for touched nodes only.
+"""Patch a compiled :class:`~repro.vectorized.compiler.VectorContext` after
+edge-only deltas.
 
-The compilers in :mod:`repro.vectorized.compiler` build their tables from
-scratch per assignment.  After an edge event plus a certificate repair, only
-a handful of nodes changed — these helpers rewrite exactly those rows and
-splice everything else through unchanged.
-
-**Byte-identity contract.**  Each patcher produces the same arrays, value
-for value and dtype for dtype, as the corresponding from-scratch compile of
-the mutated world (asserted by ``tests/test_dynamic.py``).  This holds
-because both paths share the same per-certificate memoised extraction
-(:func:`~repro.vectorized.compiler.node_row_key` /
-:func:`~repro.vectorized.compiler.list_rows_key`) and because the patched
-:class:`~repro.graphs.indexed.IndexedGraph` underneath guarantees the same
-CSR layout.  The one wholesale column is :attr:`EdgeListTable.uids`: uid
-interning is *global first-occurrence* order over the whole table, so any
-row change can renumber every uid after it — the patcher re-interns from
-the memoised content tuples (dict operations only, no re-extraction),
-which is the cheapest recomputation that preserves the compile's exact
-numbering.
-
-Mutability: :func:`patch_certificate_table` updates its table **in place**
-(rows are fixed-width, so only the dirty rows are written) and returns it;
-:func:`patch_edge_list_table` returns a **new** table because entry counts
-shift every offset after the first dirty node.  Neither table kind is a
-shared snapshot the way :class:`IndexedGraph` is — the dynamic auditor owns
-its tables.
+The compilers in :mod:`repro.vectorized.compiler` build a network's vector
+context from scratch.  After a small edge event only the CSR-derived arrays
+change; :func:`patch_vector_context` re-derives those from the already
+patched :class:`~repro.graphs.indexed.IndexedGraph` and carries the
+node-identity arrays over.  The engine's
+:meth:`~repro.distributed.engine._NetworkState.patched` calls it whenever it
+patches a network's cache record that holds a compiled context.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
-from repro.vectorized.compiler import (HAVE_NUMPY, NONE_SENTINEL,
-                                       EdgeListTable, FieldSpec,
-                                       IntervalTable, VectorContext,
-                                       _extract_list_rows, _extract_row,
-                                       _MISSING, list_rows_key, node_row_key)
+from repro.vectorized.compiler import HAVE_NUMPY, VectorContext
 
 if HAVE_NUMPY:
     import numpy as np
 
-__all__ = ["patch_certificate_table", "patch_edge_list_table",
-           "patch_vector_context"]
-
-
-def _memoised_row(certificate: Any, row_key: str, certificate_type: type,
-                  fields: tuple[FieldSpec, ...]) -> tuple | None:
-    """The compile path's memoised row read, shared verbatim semantics."""
-    try:
-        row = certificate.__dict__.get(row_key, _MISSING)
-    except AttributeError:  # slotted foreign object
-        return _extract_row(certificate, certificate_type, fields)
-    if row is _MISSING:
-        row = _extract_row(certificate, certificate_type, fields)
-        certificate.__dict__[row_key] = row
-    return row
-
-
-def _memoised_list_rows(certificate: Any, rows_key: str, list_name: str,
-                        entry_types: tuple[type, ...],
-                        fields: tuple[FieldSpec, ...],
-                        sublist: str | None,
-                        sublist_fields: tuple[FieldSpec, ...],
-                        sublist_max_len: int | None) -> tuple | None:
-    try:
-        rows = certificate.__dict__.get(rows_key, _MISSING)
-    except AttributeError:  # pragma: no cover - frozen dataclasses have __dict__
-        return _extract_list_rows(certificate, list_name, entry_types, fields,
-                                  sublist, sublist_fields, sublist_max_len)
-    if rows is _MISSING:
-        rows = _extract_list_rows(certificate, list_name, entry_types, fields,
-                                  sublist, sublist_fields, sublist_max_len)
-        certificate.__dict__[rows_key] = rows
-    return rows
-
-
-def patch_certificate_table(ctx: VectorContext, table: Any,
-                            certificates: dict[Any, Any],
-                            certificate_type: type,
-                            fields: tuple[FieldSpec, ...],
-                            dirty_indices: Iterable[int]) -> Any:
-    """Rewrite the rows of ``dirty_indices`` in place; return ``table``.
-
-    After the call the table equals ``compile_certificates(ctx, certificates,
-    certificate_type, fields)`` provided the certificates of every node *not*
-    in ``dirty_indices`` are unchanged (same objects or equal extracted
-    rows) — the caller's obligation, normally discharged by passing the
-    ``changed`` set of a :class:`~repro.dynamic.repair.RepairResult` plus the
-    event endpoints.
-    """
-    row_key = node_row_key(certificate_type, fields)
-    labels = ctx.labels
-    get = certificates.get
-    present = table.present
-    unrepresentable = table.unrepresentable
-    for i in set(dirty_indices):
-        certificate = get(labels[i])
-        if certificate is None:
-            row = None
-            present[i] = False
-            unrepresentable[i] = False
-        else:
-            row = _memoised_row(certificate, row_key, certificate_type, fields)
-            present[i] = row is not None
-            unrepresentable[i] = row is None
-        for j, spec in enumerate(fields):
-            value = 0 if row is None else row[j]
-            if spec.optional:
-                isnone = value == NONE_SENTINEL
-                table.isnone[spec.name][i] = isnone
-                value = 0 if isnone else value
-            table.columns[spec.name][i] = value
-    return table
-
-
-def patch_edge_list_table(ctx: VectorContext, table: EdgeListTable,
-                          certificates: dict[Any, Any],
-                          certificate_type: type, list_name: str,
-                          entry_types: tuple[type, ...],
-                          fields: tuple[FieldSpec, ...],
-                          dirty_indices: Iterable[int],
-                          sublist: str | None = None,
-                          sublist_fields: tuple[FieldSpec, ...] = (),
-                          sublist_max_len: int | None = None) -> EdgeListTable:
-    """Return a new :class:`EdgeListTable` with only the dirty blocks rebuilt.
-
-    Same arguments and obligations as :func:`patch_certificate_table`;
-    entry blocks of untouched nodes are sliced through unchanged, and the
-    ``uids`` column (when present) is re-interned wholesale from the
-    memoised content tuples to preserve the compiler's global
-    first-occurrence numbering.
-    """
-    n = ctx.n
-    rows_key = list_rows_key(certificate_type, list_name, entry_types, fields,
-                             sublist, sublist_fields, sublist_max_len)
-    labels = ctx.labels
-    get = certificates.get
-    order = sorted(set(dirty_indices))
-    width = len(fields)
-    sub_width = len(sublist_fields)
-
-    unrepresentable = table.unrepresentable.copy()
-    counts = table.counts.copy()
-    payloads: dict[int, tuple | None] = {}
-    for i in order:
-        certificate = get(labels[i])
-        if type(certificate) is not certificate_type:
-            rows = None
-            unrepresentable[i] = False
-        else:
-            rows = _memoised_list_rows(certificate, rows_key, list_name,
-                                       entry_types, fields, sublist,
-                                       sublist_fields, sublist_max_len)
-            unrepresentable[i] = rows is None
-        payloads[i] = rows
-        counts[i] = 0 if rows is None else rows[0]
-
-    old_offsets = table.offsets
-    old_sub = table.sub
-    # entry-space arrays to splice: field columns, isnone masks, sub counts
-    entry_arrays: dict[str, Any] = dict(table.columns)
-    entry_arrays.update({f"isnone:{name}": mask
-                         for name, mask in table.isnone.items()})
-    if old_sub is not None:
-        entry_arrays["sub:counts"] = old_sub.counts
-    pieces: dict[str, list] = {name: [] for name in entry_arrays}
-    sub_pieces: dict[str, list] = (
-        {name: [] for name in old_sub.columns} if old_sub is not None else {})
-
-    def dirty_pieces(rows: tuple | None) -> None:
-        count = 0 if rows is None else rows[0]
-        flat_fields = () if rows is None else rows[1]
-        matrix = np.array(flat_fields, dtype=np.int64).reshape(count, width)
-        for j, spec in enumerate(fields):
-            column = matrix[:, j]
-            if spec.optional:
-                mask = column == NONE_SENTINEL
-                column[mask] = 0
-                pieces[f"isnone:{spec.name}"].append(mask)
-            pieces[spec.name].append(column)
-        if old_sub is not None:
-            entry_sub_counts = () if rows is None else rows[2]
-            flat_subs = () if rows is None else rows[3]
-            pieces["sub:counts"].append(
-                np.array(entry_sub_counts, dtype=np.int64))
-            sub_matrix = np.array(flat_subs, dtype=np.int64).reshape(
-                len(flat_subs) // sub_width if sub_width else 0, sub_width)
-            for j, spec in enumerate(sublist_fields):
-                sub_pieces[spec.name].append(sub_matrix[:, j])
-
-    def untouched_span(entry_lo: int, entry_hi: int) -> None:
-        if entry_hi <= entry_lo:
-            return
-        for name, array in entry_arrays.items():
-            pieces[name].append(array[entry_lo:entry_hi])
-        if old_sub is not None:
-            sub_lo = int(old_sub.offsets[entry_lo])
-            sub_hi = int(old_sub.offsets[entry_hi])
-            for name, array in old_sub.columns.items():
-                sub_pieces[name].append(array[sub_lo:sub_hi])
-
-    prev_end = 0
-    for i in order:
-        untouched_span(prev_end, int(old_offsets[i]))
-        dirty_pieces(payloads[i])
-        prev_end = int(old_offsets[i + 1])
-    untouched_span(prev_end, int(old_offsets[n]))
-
-    def concat(parts: list) -> Any:
-        parts = [part for part in parts if len(part)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        # np.concatenate copies even for a single part, so no result ever
-        # shares memory with the table being patched
-        return np.concatenate(parts)
-
-    columns = {spec.name: concat(pieces[spec.name]) for spec in fields}
-    isnone = {spec.name: concat(pieces[f"isnone:{spec.name}"]).astype(bool)
-              for spec in fields if spec.optional}
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-
-    sub_table = None
-    if old_sub is not None:
-        sub_counts = concat(pieces["sub:counts"])
-        sub_offsets = np.zeros(len(sub_counts) + 1, dtype=np.int64)
-        np.cumsum(sub_counts, out=sub_offsets[1:])
-        sub_table = IntervalTable(
-            offsets=sub_offsets, counts=sub_counts,
-            columns={spec.name: concat(sub_pieces[spec.name])
-                     for spec in sublist_fields})
-
-    uids = None
-    if table.uids is not None:
-        uid_of: dict[Any, int] = {}
-        uid_setdefault = uid_of.setdefault
-        uid_list: list[int] = []
-        uids_append = uid_list.append
-        for i in range(n):
-            certificate = get(labels[i])
-            if type(certificate) is not certificate_type:
-                continue
-            rows = _memoised_list_rows(certificate, rows_key, list_name,
-                                       entry_types, fields, sublist,
-                                       sublist_fields, sublist_max_len)
-            if rows is None:
-                continue
-            for content in rows[4]:
-                uids_append(uid_setdefault(content, len(uid_of)))
-        uids = np.array(uid_list, dtype=np.int64)
-
-    return EdgeListTable(offsets=offsets, counts=counts, columns=columns,
-                         isnone=isnone, unrepresentable=unrepresentable,
-                         uids=uids, sub=sub_table)
+__all__ = ["patch_vector_context"]
 
 
 def patch_vector_context(ctx: VectorContext, network: Any) -> VectorContext | None:

@@ -1,7 +1,7 @@
 """The adversary campaign framework: corruption library, strategies, the
 cheating dMAM prover with exact lucky-guess accounting, campaign
-determinism across backends and worker counts, and the legacy attack
-edge cases.
+determinism across backends and worker counts, the one-shot attacks' edge
+cases and the decide loop that every attack and campaign cell shares.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.adversary import (
     random_certificate_attack,
     transplant_attack,
 )
+from repro.adversary.attacks import decide_in_chunks
 from repro.adversary.campaign import CampaignCell, campaign_graph
 from repro.baselines.dmam import FIELD_PRIME, PlanarityDMAMProtocol
 from repro.distributed.engine import SimulationEngine
@@ -256,7 +257,7 @@ class TestCheatingProver:
 
 
 # ----------------------------------------------------------------------
-# legacy one-shot attacks: previously untested edge cases
+# one-shot attacks: edge cases and what ``trials`` counts
 # ----------------------------------------------------------------------
 class TestLegacyAttackEdgeCases:
     def _single_node(self):
@@ -292,6 +293,76 @@ class TestLegacyAttackEdgeCases:
         assert result.trials == 0
         assert result.best_accepting_nodes == 0
         assert not result.fooled
+
+    def test_random_attack_counts_trials_up_to_the_first_fooling(self):
+        engine, scheme, network, honest = _honest("tree-pls")
+        result = random_certificate_attack(
+            scheme, network, lambda rng, net, node: honest[node], trials=40,
+            engine=engine)
+        assert result.fooled
+        assert result.trials == 1
+
+    def test_mutated_transplant_counts_trials_up_to_the_first_fooling(self):
+        engine, scheme, network, honest = _honest("tree-pls")
+        result = transplant_attack(scheme, network, honest,
+                                   mutate=lambda rng, cert: cert,
+                                   engine=engine)
+        assert result.fooled
+        assert result.trials == 1
+
+
+# ----------------------------------------------------------------------
+# decide_in_chunks: the one decide loop
+# ----------------------------------------------------------------------
+class _CountingEngine:
+    """Engine stand-in whose count for an assignment is its ``"count"``
+    entry; records the size of every batch it decides."""
+
+    def __init__(self):
+        self.batches = []
+
+    def count_accepting_batch(self, scheme, items):
+        self.batches.append(len(items))
+        return [certificates["count"] for _, certificates in items]
+
+
+class TestDecideInChunks:
+    def test_decides_sixteen_per_batch_call_in_order(self):
+        engine = _CountingEngine()
+        assignments = [{"count": i} for i in range(40)]
+        counts = decide_in_chunks(engine, None, None, assignments)
+        assert engine.batches == [16, 16, 8]
+        assert counts == list(range(40))
+
+    def test_stops_at_the_first_count_equal_to_stop_at(self):
+        drawn = []
+
+        def assignments():
+            for i in range(40):
+                drawn.append(i)
+                yield {"count": i}
+
+        engine = _CountingEngine()
+        counts = decide_in_chunks(engine, None, None, assignments(),
+                                  stop_at=20)
+        assert counts == list(range(21))
+        assert len(drawn) == 32
+        assert engine.batches == [16, 16]
+
+    def test_reference_loop_matches_the_vectorized_engine(self):
+        engine = SimulationEngine(backend="vectorized")
+        scheme = default_registry().create("planarity-pls")
+        network = engine.network_for(campaign_graph("planarity-pls", 64),
+                                     seed=3)
+        honest = engine.certify(scheme, network)
+        assignments = [honest] + [
+            STRATEGIES[name]().corrupt(network, honest, random.Random(t))
+            for name in sorted(STRATEGIES) for t in range(4)]
+        reference = decide_in_chunks(None, scheme, network, assignments)
+        assert reference == decide_in_chunks(engine, scheme, network,
+                                             assignments)
+        assert reference[0] == network.size
+        assert min(reference) < network.size
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distributed.adversary import (
+from repro.adversary.attacks import (
     exhaustive_attack,
     random_certificate_attack,
     transplant_attack,

@@ -6,8 +6,6 @@ random mutate/verify interleavings where the patched artifact is compared,
 value for value, against a full rebuild of the mutated world:
 
 * the :class:`Graph` mutation journal and the patched CSR layout,
-* the struct-of-arrays table patchers (node rows and edge lists with
-  interned uids),
 * :class:`DynamicAuditor` decisions against full reference verification,
   including forced repair-cascade fallbacks, journal truncation, and the
   miswired-link alarm,
@@ -124,115 +122,6 @@ class TestPatchedCSR:
             if not graph.has_edge(u, v):
                 graph.add_edge(u, v)
         self.assert_identical(graph)
-
-
-# ----------------------------------------------------------------------
-# table patchers
-# ----------------------------------------------------------------------
-class TestTablePatchers:
-    np = pytest.importorskip("numpy")
-
-    def _mutate_assignment(self, rng, certificates, donor):
-        """Knock a few certificates around: drop, None, swap with a donor."""
-        keys = rng.sample(sorted(certificates, key=repr), 6)
-        dirty = []
-        for key in keys:
-            roll = rng.random()
-            if roll < 0.3:
-                certificates.pop(key, None)
-            elif roll < 0.5:
-                certificates[key] = None
-            else:
-                certificates[key] = donor[rng.choice(sorted(donor, key=repr))]
-            dirty.append(key)
-        return dirty
-
-    def test_node_table_patch_matches_scratch(self):
-        np = self.np
-        from repro.vectorized.compiler import (build_vector_context,
-                                               compile_certificates)
-        from repro.vectorized.kernels import SPANNING_TREE_FIELDS
-        from repro.core.building_blocks import SpanningTreeLabel
-        from repro.dynamic.tables import patch_certificate_table
-
-        network = Network(random_tree(60, seed=5), seed=5)
-        ctx = build_vector_context(network)
-        scheme = TreeScheme()
-        certificates = dict(scheme.prove(network))
-        donor = scheme.prove(Network(random_tree(60, seed=6), seed=6))
-        rng = random.Random(0)
-        table = compile_certificates(ctx, certificates, SpanningTreeLabel,
-                                     SPANNING_TREE_FIELDS)
-        for _ in range(20):
-            dirty = self._mutate_assignment(rng, certificates, donor)
-            indices = [ctx.labels.index(k) for k in dirty]
-            table = patch_certificate_table(ctx, table, certificates,
-                                            SpanningTreeLabel,
-                                            SPANNING_TREE_FIELDS, indices)
-            scratch = compile_certificates(ctx, dict(certificates),
-                                           SpanningTreeLabel,
-                                           SPANNING_TREE_FIELDS)
-            assert np.array_equal(table.present, scratch.present)
-            assert np.array_equal(table.unrepresentable,
-                                  scratch.unrepresentable)
-            for name, column in scratch.columns.items():
-                assert np.array_equal(table.columns[name], column), name
-            for name, mask in scratch.isnone.items():
-                assert np.array_equal(table.isnone[name], mask), name
-
-    def test_edge_list_patch_matches_scratch(self):
-        np = self.np
-        from repro.vectorized.compiler import (build_vector_context,
-                                               compile_edge_lists)
-        from repro.vectorized.paper_kernels import (
-            EDGE_CERTIFICATE_FIELDS, INTERVAL_ENTRY_FIELDS,
-            MAX_INTERVAL_ENTRIES_PER_CERTIFICATE)
-        from repro.core.planarity_scheme import (PlanarityCertificate,
-                                                 TreeEdgeCertificate)
-        from repro.dynamic.tables import patch_edge_list_table
-
-        network = Network(delaunay_planar_graph(50, seed=3), seed=3)
-        ctx = build_vector_context(network)
-        scheme = PlanarityScheme()
-        certificates = dict(scheme.prove(network))
-        donor = scheme.prove(
-            Network(delaunay_planar_graph(50, seed=8), seed=8))
-        rng = random.Random(1)
-
-        def compile_scratch(assignment):
-            return compile_edge_lists(
-                ctx, assignment, PlanarityCertificate, "edge_certificates",
-                (TreeEdgeCertificate, CotreeEdgeCertificate),
-                EDGE_CERTIFICATE_FIELDS, sublist="intervals",
-                sublist_fields=INTERVAL_ENTRY_FIELDS,
-                sublist_max_len=MAX_INTERVAL_ENTRIES_PER_CERTIFICATE,
-                assign_uids=True)
-
-        table = compile_scratch(certificates)
-        for _ in range(15):
-            dirty = self._mutate_assignment(rng, certificates, donor)
-            indices = [ctx.labels.index(k) for k in dirty]
-            table = patch_edge_list_table(
-                ctx, table, certificates, PlanarityCertificate,
-                "edge_certificates",
-                (TreeEdgeCertificate, CotreeEdgeCertificate),
-                EDGE_CERTIFICATE_FIELDS, indices, sublist="intervals",
-                sublist_fields=INTERVAL_ENTRY_FIELDS,
-                sublist_max_len=MAX_INTERVAL_ENTRIES_PER_CERTIFICATE)
-            scratch = compile_scratch(dict(certificates))
-            assert np.array_equal(table.offsets, scratch.offsets)
-            assert np.array_equal(table.counts, scratch.counts)
-            assert np.array_equal(table.unrepresentable,
-                                  scratch.unrepresentable)
-            assert np.array_equal(table.uids, scratch.uids)
-            for name, column in scratch.columns.items():
-                assert np.array_equal(table.columns[name], column), name
-            for name, mask in scratch.isnone.items():
-                assert np.array_equal(table.isnone[name], mask), name
-            assert np.array_equal(table.sub.offsets, scratch.sub.offsets)
-            assert np.array_equal(table.sub.counts, scratch.sub.counts)
-            for name, column in scratch.sub.columns.items():
-                assert np.array_equal(table.sub.columns[name], column), name
 
 
 # ----------------------------------------------------------------------

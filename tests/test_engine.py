@@ -6,8 +6,8 @@ import random
 
 import pytest
 
+from repro.adversary.attacks import random_certificate_attack, transplant_attack
 from repro.core.path_outerplanar import random_path_outerplanar_graph
-from repro.distributed.adversary import random_certificate_attack, transplant_attack
 from repro.distributed.engine import SimulationEngine, derive_seed
 from repro.distributed.network import LocalView, Network
 from repro.distributed.registry import default_registry

@@ -262,7 +262,7 @@ class TestEngineBackendSelection:
         assert not engine._states
 
     def test_attacks_run_transparently_through_backend(self):
-        from repro.distributed.adversary import random_certificate_attack
+        from repro.adversary.attacks import random_certificate_attack
 
         scheme = PathGraphScheme()
         network = Network(cycle_graph(14), seed=6)
