@@ -1,10 +1,14 @@
 """Check the documentation for dead relative links and dead citations.
 
 Scans ``README.md`` and ``docs/*.md`` for markdown links and fails when a
-*relative* link target (external ``scheme://`` URLs and pure ``#anchor``
-links are skipped) does not resolve to an existing file or directory,
-relative to the file containing the link.  It also fails when a Python
-file under ``src/``, ``benchmarks/``, ``tests/``, ``scripts/`` or
+*relative* link target (external ``scheme://`` URLs are skipped) does not
+resolve to an existing file or directory, relative to the file containing
+the link, or when the ``#fragment`` of a link to a markdown file (or of a
+bare ``#fragment`` link, into its own file) names no heading of that file.
+Headings map to fragments by GitHub's rule: lower-case, drop punctuation
+other than ``-`` and ``_``, turn spaces into ``-``, and suffix repeated
+headings with ``-1``, ``-2``, ... in document order.  It also fails when a
+Python file under ``src/``, ``benchmarks/``, ``tests/``, ``scripts/`` or
 ``examples/`` cites a ``.md`` file that exists neither at that path from
 the repository root nor under ``docs/``.  Run from anywhere::
 
@@ -20,6 +24,13 @@ from pathlib import Path
 # [text](target) — target captured up to the closing parenthesis; markdown
 # images ![alt](target) match the same way via the trailing "[...](...)"
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+# an ATX heading outside code fences: up to three spaces, 1-6 '#', the
+# text, and an optional closing run of '#'
+_HEADING = re.compile(r"^ {0,3}#{1,6}\s+(.*?)(?:\s+#+)?\s*$")
+
+# the text of an inline link inside a heading renders without its target
+_LINK_TEXT = re.compile(r"\[([^\]]*)\]\([^)]*\)")
 
 # a markdown file name cited in Python source, e.g. ``docs/KERNELS.md``
 # (a glob such as ``docs/*.md`` is not a name and does not match)
@@ -39,15 +50,39 @@ REQUIRED = (
 )
 
 
+def anchors(path: Path) -> set[str]:
+    """The ``#fragment`` names GitHub gives the headings of ``path``."""
+    found: set[str] = set()
+    seen: dict[str, int] = {}
+    fenced = False
+    for line in path.read_text().splitlines():
+        if line.lstrip().startswith(("```", "~~~")):
+            fenced = not fenced
+            continue
+        match = None if fenced else _HEADING.match(line)
+        if match is None:
+            continue
+        text = _LINK_TEXT.sub(r"\1", match.group(1)).lower()
+        slug = re.sub(r"[^\w\- ]", "", text).replace(" ", "-")
+        repeats = seen.get(slug, 0)
+        seen[slug] = repeats + 1
+        found.add(f"{slug}-{repeats}" if repeats else slug)
+    return found
+
+
 def check_file(path: Path) -> list[str]:
     errors = []
     for number, line in enumerate(path.read_text().splitlines(), start=1):
         for target in _LINK.findall(line):
-            if re.match(r"^[a-z][a-z0-9+.-]*://", target) or target.startswith("#"):
+            if re.match(r"^[a-z][a-z0-9+.-]*://", target):
                 continue
-            resolved = (path.parent / target.split("#", 1)[0]).resolve()
+            name, _, fragment = target.partition("#")
+            resolved = (path.parent / name).resolve() if name else path
             if not resolved.exists():
                 errors.append(f"{path}:{number}: dead link -> {target}")
+            elif fragment and resolved.suffix == ".md" \
+                    and fragment not in anchors(resolved):
+                errors.append(f"{path}:{number}: dead fragment -> {target}")
     return errors
 
 
@@ -82,7 +117,7 @@ def main() -> int:
         print(error, file=sys.stderr)
     if errors:
         return 1
-    print("all relative links and citations resolve")
+    print("all relative links, fragments and citations resolve")
     return 0
 
 

@@ -908,14 +908,19 @@ class SimulationEngine:
     def _vector_context(self, network: Network) -> Any | None:
         """Return the cached compiled :class:`VectorContext` of ``network``.
 
-        ``None`` entries (networks the compiler refuses) are cached too, so a
-        hot reference-fallback loop does not recompile per trial.
+        A network that carries its own context (an attached
+        :class:`~repro.distributed.shm.SharedNetwork`) lends it, zero-copy;
+        any other is compiled once.  ``None`` entries (networks the compiler
+        refuses) are cached too, so a hot reference-fallback loop does not
+        recompile per trial.
         """
         state = self._state(network)
         if state.context is _UNSET:
-            from repro.vectorized import build_vector_context
+            state.context = getattr(network, "vector_context", None)
+            if state.context is None:
+                from repro.vectorized import build_vector_context
 
-            state.context = build_vector_context(network)
+                state.context = build_vector_context(network)
         return state.context
 
     #: batched super-CSRs kept alive at once (a sweep reuses one batch per
@@ -983,14 +988,17 @@ class SimulationEngine:
     # shared-memory artifact plane
     # ------------------------------------------------------------------
     def export_shared(self, network: Network) -> Any | None:
-        """Place ``network``'s compiled arrays into shared memory.
+        """Place ``network``'s compiled :class:`VectorContext` into shared memory.
 
         Returns a picklable
         :class:`~repro.distributed.shm.SharedNetworkHandle` that
-        :meth:`run_trials` specs can carry instead of the network itself —
-        pool workers then *attach* to the one shared copy of the CSR /
-        identifier arrays rather than each unpickling their own.  The caller
-        owns the segment and must call ``handle.unlink()`` when done.
+        :meth:`run_trials` specs can carry instead of the network itself.
+        Every trial resolves it, in whichever process runs it, to a
+        read-only :class:`~repro.distributed.shm.SharedNetwork` that maps the
+        one shared copy of the arrays and carries the zero-copy context, so
+        a trial engine's first vectorized decide starts at kernel dispatch.
+        The caller owns the segment and must call ``handle.unlink()`` when
+        done.
 
         Returns ``None`` whenever the zero-copy path is unavailable — shared
         memory or numpy missing, the vectorized compiler refuses the network
@@ -1002,62 +1010,9 @@ class SimulationEngine:
         ctx = self._vector_context(network)
         if ctx is None:
             return None
-        try:
-            from repro.distributed import shm
-        except ImportError:  # pragma: no cover - minimal installs
-            return None
-        if not shm.HAVE_SHM:
-            return None
-        return shm.export_network(ctx)
-
-    def export_assignment(self, network: Network,
-                          scheme: ProofLabelingScheme,
-                          certificates: dict) -> Any | None:
-        """Compile ``certificates``'s tables once and share them with workers.
-
-        The returned
-        :class:`~repro.distributed.shm.SharedAssignmentHandle` rides in
-        :meth:`run_trials` specs wherever the plain certificate dict would
-        go; workers resolve it to a
-        :class:`~repro.distributed.shm.PrecompiledAssignment` whose compiled
-        struct-of-arrays tables short-circuit ``compile_certificates`` /
-        ``compile_edge_lists`` — the per-trial compile cost is paid exactly
-        once, in this process.  The tables bind to ``network``'s compiled
-        layout, so the spec must pair the handle with that same network
-        (shared or not).  The caller owns the segments and must call
-        ``handle.unlink()`` when done.
-
-        Returns ``None`` when any prerequisite is missing — no vectorized
-        kernel for ``scheme``, the kernel predates the ``table_specs`` hook,
-        the compiler refuses the network, or shared memory is unavailable —
-        and callers ship the bare dict through the established pickle path.
-        """
-        kernel = self._kernel_for(scheme)
-        if kernel is None or not hasattr(kernel, "table_specs"):
-            return None
-        ctx = self._vector_context(network)
-        if ctx is None:
-            return None
-        try:
-            from repro.distributed import shm
-        except ImportError:  # pragma: no cover - minimal installs
-            return None
-        return shm.export_assignment(ctx, kernel, certificates)
-
-    def attach(self, handle: Any) -> Network:
-        """Attach to an exported network and pre-seed this engine's caches.
-
-        The returned read-only :class:`Network` verifies like any other, but
-        its vectorized context is the shared zero-copy one — this engine will
-        not recompile what the exporting process already compiled.  Worker
-        processes normally never call this directly: :meth:`run_trials`
-        resolves handles found in trial specs transparently.
-        """
         from repro.distributed import shm
 
-        network = shm.attach_network(handle)
-        self._state(network).context = shm.attached_context(handle)
-        return network
+        return shm.export_network(ctx)
 
     @property
     def backend_counters(self) -> dict[str, int]:
@@ -1398,10 +1353,12 @@ class SimulationEngine:
 
         Specs may carry :class:`~repro.distributed.shm.SharedNetworkHandle`
         values (from :meth:`export_shared`) anywhere a network would go —
-        inside tuples, lists, or dict values; both the serial path and the
-        pool workers resolve them to attached read-only networks before
-        calling ``worker``, so worker code written against networks runs
-        against handles unchanged.
+        inside tuples, lists, or dict values.  The process that runs a trial
+        resolves them to attached read-only networks before calling
+        ``worker``, so worker code written against networks runs against
+        handles unchanged; each attached network carries its zero-copy
+        :class:`~repro.vectorized.compiler.VectorContext`, so the worker's
+        engines compile no context for it.
 
         When tracing is enabled, each spec runs inside a ``trial`` span; on
         the pool path every worker process installs its own fresh tracer
@@ -1416,81 +1373,68 @@ class SimulationEngine:
 
         tracer = current_tracer()
         if self.workers == 1 or len(specs) <= 1:
-            if not tracer.enabled:
-                return [worker(resolve_spec(spec)) for spec in specs]
             results = []
             for index, spec in enumerate(specs):
                 with tracer.span("trial") as sp:
-                    sp.set(index=index)
+                    if sp:
+                        sp.set(index=index)
                     results.append(worker(resolve_spec(spec)))
             return results
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        context = multiprocessing.get_context("spawn")
         if tracer.enabled:
             import pickle
 
             tracer.metrics.count(
                 "bytes_pickled.specs",
                 sum(len(pickle.dumps(spec)) for spec in specs))
-            traced = _TracedTrial(worker)
-            with ProcessPoolExecutor(max_workers=self.workers,
-                                     mp_context=context) as pool:
-                payloads = list(pool.map(traced, list(enumerate(specs))))
-            results = []
-            for index, (result, payload) in enumerate(payloads):
-                tracer.absorb(payload, worker=index)
-                results.append(result)
-            return results
-        resolved = _ResolvedTrial(worker)
-        with ProcessPoolExecutor(max_workers=self.workers,
-                                 mp_context=context) as pool:
-            return list(pool.map(resolved, specs))
+        trial = _Trial(worker, traced=tracer.enabled)
+        with ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            outputs = list(pool.map(trial, range(len(specs)), specs))
+        if not tracer.enabled:
+            return outputs
+        results = []
+        for index, (result, payload) in enumerate(outputs):
+            tracer.absorb(payload, worker=index)
+            results.append(result)
+        return results
 
     def rng(self, index: int = 0) -> random.Random:
         """Return a :class:`random.Random` seeded for trial ``index``."""
         return random.Random(self.trial_seed(index))
 
 
-class _ResolvedTrial:
-    """Picklable wrapper resolving shared-memory handles in pool workers.
+class _Trial:
+    """Picklable wrapper running one trial spec in a pool worker.
 
-    The untraced pool path ships this instead of the bare worker so that
+    The pool ships this instead of the bare worker so that
     :func:`~repro.distributed.shm.resolve_spec` runs *inside* the worker
     process — where the attach maps the shared segment — rather than in the
     parent, where resolution would pull the whole network back into the
     spec and pickle it anyway.
+
+    When the parent traces, the trial runs under a fresh enabled tracer of
+    the worker's own (never the fork-inherited copy of the parent's, which
+    would re-ship the parent's spans) and returns ``(result,
+    trace_payload)``; the parent folds the payload back with
+    :meth:`~repro.observability.tracer.Tracer.absorb` — aggregation goes
+    through the serialised snapshot, never shared state.
     """
 
-    def __init__(self, worker: Callable[[Any], Any]) -> None:
+    def __init__(self, worker: Callable[[Any], Any], traced: bool) -> None:
         self.worker = worker
+        self.traced = traced
 
-    def __call__(self, spec: Any) -> Any:
+    def __call__(self, index: int, spec: Any) -> Any:
         from repro.distributed.shm import resolve_spec
 
-        return self.worker(resolve_spec(spec))
-
-
-class _TracedTrial:
-    """Picklable wrapper running one trial spec under a fresh worker tracer.
-
-    Installed around the user worker only when the parent has tracing
-    enabled.  The worker process gets its own enabled tracer (never the
-    fork-inherited copy of the parent's, which would re-ship the parent's
-    spans) and returns ``(result, trace_payload)``; the parent folds the
-    payload back with :meth:`~repro.observability.tracer.Tracer.absorb` —
-    aggregation goes through the serialised snapshot, never shared state.
-    """
-
-    def __init__(self, worker: Callable[[Any], Any]) -> None:
-        self.worker = worker
-
-    def __call__(self, indexed_spec: tuple[int, Any]) -> tuple[Any, dict]:
-        from repro.distributed.shm import resolve_spec
+        if not self.traced:
+            return self.worker(resolve_spec(spec))
         from repro.observability.tracer import Tracer, install
 
-        index, spec = indexed_spec
         tracer = Tracer(enabled=True)
         previous = install(tracer)
         try:

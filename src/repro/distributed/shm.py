@@ -1,16 +1,17 @@
-"""Zero-copy shared-memory plane for compiled artifacts.
+"""Zero-copy shared-memory plane for compiled networks.
 
 ``run_trials(workers > 1)`` historically shipped whole networks into every
 worker process by pickling them through the pool — at n = 10^6 that is
 hundreds of megabytes of adjacency dictionaries serialised, transferred and
-rebuilt *per worker*.  This module moves the compiled artifacts — the
-:class:`~repro.graphs.indexed.IndexedGraph` CSR arrays, the
-:class:`~repro.vectorized.compiler.VectorContext` columns, and the
-struct-of-arrays certificate tables — into
-:mod:`multiprocessing.shared_memory` segments, so workers *attach* to one
+rebuilt *per worker*.  A proof-labeling round needs only the network and one
+certificate per node, and the certificates travel with the trial spec, so
+this module moves the one compiled artifact a worker needs — the network's
+:class:`~repro.vectorized.compiler.VectorContext` (CSR adjacency, the
+per-directed-edge ``src`` column, identifiers, degrees) — into a
+:mod:`multiprocessing.shared_memory` segment, so workers *attach* to one
 copy of the bytes instead of deserialising their own.
 
-Three layers:
+Two layers:
 
 * :class:`SharedArtifact` — one shm segment holding a manifest of named
   numpy arrays ``(key, dtype, shape, offset)``.  The handle is a small
@@ -21,27 +22,19 @@ Three layers:
   :meth:`~SharedArtifact.unlink` to destroy the segment.
 * :func:`export_network` / :func:`attach_network` — a
   :class:`SharedNetworkHandle` that reconstructs a read-only
-  :class:`~repro.distributed.network.Network` (and its zero-copy
-  :class:`~repro.vectorized.compiler.VectorContext`) from the shared arrays.
-  The heavy payloads — CSR adjacency, identifiers, the per-directed-edge
-  ``src`` column — are mapped, not copied; only the O(n) label list and the
-  lazy id dictionaries are per-process Python objects.
-* table round-trips — :func:`export_certificate_table` /
-  :func:`attach_certificate_table` and :func:`export_edge_list_table` /
-  :func:`attach_edge_list_table` place compiled
-  :class:`~repro.vectorized.compiler.CertificateTable` /
-  :class:`~repro.vectorized.compiler.EdgeListTable` (with its nested
-  :class:`~repro.vectorized.compiler.IntervalTable`) columns into a segment.
-* :func:`export_assignment` / :func:`attach_assignment` — a
-  :class:`SharedAssignmentHandle` pairing a certificate assignment with its
-  compiled tables (declared by the kernel's ``table_specs()`` hook).
-  Workers resolve it to a :class:`PrecompiledAssignment`, whose tables the
-  compiler's duck-hook serves instead of recompiling per trial.
+  :class:`SharedNetwork` from the shared arrays.  The network carries its
+  zero-copy :class:`~repro.vectorized.compiler.VectorContext` over the same
+  pages, which a :class:`~repro.distributed.engine.SimulationEngine` takes
+  instead of compiling one, so a worker's first vectorized decide starts at
+  kernel dispatch.  The heavy payloads are mapped, not copied; only the
+  O(n) label list and the lazy id dictionaries are per-process Python
+  objects.
 
 Lifecycle contract (see docs/ARCHITECTURE.md for the narrative version):
 
-* The **creator** process calls an ``export_*`` function, keeps the handle,
-  and calls :meth:`SharedArtifact.unlink` when the experiment is done.  The
+* The **creator** process calls :func:`export_arrays` (directly or through
+  :func:`export_network`), keeps the handle, and calls
+  :meth:`SharedArtifact.unlink` when the experiment is done.  The
   segment stays registered with the creator's ``resource_tracker``, so a
   crashed creator still cleans up at interpreter exit.
 * **Attachers** call ``attach`` (directly or through :func:`attach_network`)
@@ -67,8 +60,6 @@ compiler (n < 2, isolated nodes,       share); pickle fallback
 oversized ids)
 non-integer node labels                ``None`` (labels cannot be shared
                                        as an int64 column); pickle fallback
-kernel without a ``table_specs()``     ``export_assignment`` returns
-hook (or no kernel for the scheme)     ``None``; ship the bare dict
 handle inside a ``run_trials`` spec    resolved transparently (serial and
                                        pool paths both attach)
 =====================================  =========================
@@ -95,11 +86,7 @@ except ImportError:  # pragma: no cover - exercised only on minimal installs
     HAVE_SHM = False
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.vectorized.compiler import (
-        CertificateTable,
-        EdgeListTable,
-        VectorContext,
-    )
+    from repro.vectorized.compiler import VectorContext
 
 __all__ = [
     "HAVE_SHM",
@@ -108,15 +95,6 @@ __all__ = [
     "export_arrays",
     "export_network",
     "attach_network",
-    "PrecompiledAssignment",
-    "SharedAssignmentHandle",
-    "export_assignment",
-    "attach_assignment",
-    "attached_context",
-    "export_certificate_table",
-    "attach_certificate_table",
-    "export_edge_list_table",
-    "attach_edge_list_table",
     "resolve_spec",
     "active_segments",
 ]
@@ -347,26 +325,28 @@ def export_network(ctx: "VectorContext") -> SharedNetworkHandle | None:
     return SharedNetworkHandle(artifact=artifact, n=ctx.n)
 
 
-#: per-process attachment cache: segment name -> (network, vector context).
-#: One attach per worker process per shared network, however many trial
-#: specs reference the handle.
-_attached: dict[str, tuple[Any, Any]] = {}
+#: per-process attachment cache: segment name -> attached network.  One
+#: attach per worker process per shared network, however many trial specs
+#: reference the handle.
+_attached: dict[str, SharedNetwork] = {}
 
 
-def attach_network(handle: SharedNetworkHandle) -> Any:
-    """Reconstruct the read-only :class:`Network` behind ``handle``.
+def attach_network(handle: SharedNetworkHandle) -> SharedNetwork:
+    """Reconstruct the read-only :class:`SharedNetwork` behind ``handle``.
 
     The CSR arrays, identifiers and ``src`` column are zero-copy views of
-    the shared segment; the label list and the ``label -> index`` mapping
+    the shared segment, and so is the network's
+    :attr:`~SharedNetwork.vector_context`, which engines use instead of
+    compiling their own.  The label list and the ``label -> index`` mapping
     are rebuilt per process (O(n) Python objects, a small fraction of what
     pickling the adjacency dictionaries would allocate), and the
     ``label <-> identifier`` dictionaries are built lazily — the vectorized
     trial path never touches them.  Cached per process, so repeated specs
     referencing the same handle attach once.
     """
-    cached = _attached.get(handle.artifact.name)
-    if cached is not None:
-        return cached[0]
+    network = _attached.get(handle.artifact.name)
+    if network is not None:
+        return network
     from repro.graphs.indexed import IndexedGraph
     from repro.vectorized.compiler import VectorContext
 
@@ -379,8 +359,7 @@ def attach_network(handle: SharedNetworkHandle) -> Any:
     indexed.indices = arrays["dst"]
     indexed.degrees = arrays["degrees"]
     indexed._csr_arrays = (arrays["indptr"], arrays["dst"])
-    network = SharedNetwork(_SharedGraph(indexed), arrays["node_ids"])
-    ctx = VectorContext(
+    context = VectorContext(
         n=handle.n,
         labels=labels,
         node_ids=arrays["node_ids"],
@@ -390,29 +369,13 @@ def attach_network(handle: SharedNetworkHandle) -> Any:
         dst=arrays["dst"],
         degrees=arrays["degrees"],
     )
-    _attached[handle.artifact.name] = (network, ctx)
+    network = SharedNetwork(_SharedGraph(indexed), arrays["node_ids"], context)
+    _attached[handle.artifact.name] = network
     return network
 
 
-def attached_context(handle: SharedNetworkHandle) -> Any:
-    """The zero-copy :class:`VectorContext` of an attached shared network.
-
-    Engines pre-seed their per-network context cache with this, so the
-    vectorized backend never recompiles what the creator already compiled.
-    """
-    cached = _attached.get(handle.artifact.name)
-    if cached is None:
-        attach_network(handle)
-        cached = _attached[handle.artifact.name]
-    return cached[1]
-
-
 def resolve_spec(spec: Any) -> Any:
-    """Resolve every shared handle in ``spec`` into its live artifact.
-
-    :class:`SharedNetworkHandle` becomes an attached read-only network and
-    :class:`SharedAssignmentHandle` a :class:`PrecompiledAssignment` whose
-    compiled tables short-circuit the per-trial compile.
+    """Replace every :class:`SharedNetworkHandle` in ``spec`` by its network.
 
     Recurses through tuples, lists and dict values (the shapes trial specs
     are built from); anything else passes through untouched.  Called by
@@ -421,8 +384,6 @@ def resolve_spec(spec: Any) -> Any:
     """
     if isinstance(spec, SharedNetworkHandle):
         return attach_network(spec)
-    if isinstance(spec, SharedAssignmentHandle):
-        return attach_assignment(spec)
     if isinstance(spec, tuple):
         return tuple(resolve_spec(item) for item in spec)
     if isinstance(spec, list):
@@ -531,8 +492,12 @@ class SharedNetwork(Network):
     callers instead.
     """
 
-    def __init__(self, graph: _SharedGraph, node_ids: Any) -> None:
+    def __init__(self, graph: _SharedGraph, node_ids: Any,
+                 vector_context: "VectorContext") -> None:
         self.graph = graph
+        #: the zero-copy compiled context over the shared pages; the graph
+        #: is read-only, so it stays valid for the network's lifetime
+        self.vector_context = vector_context
         self._shared_ids = node_ids
         self._lazy_id_of: dict | None = None
         self._lazy_node_of: dict | None = None
@@ -556,190 +521,3 @@ class SharedNetwork(Network):
 
     def ids(self) -> list:
         return self._shared_ids.tolist()
-
-
-# ---------------------------------------------------------------------------
-# compiled-table round-trips
-# ---------------------------------------------------------------------------
-
-def export_certificate_table(table: "CertificateTable") -> SharedArtifact:
-    """Place a compiled :class:`CertificateTable` into shared memory."""
-    arrays: dict[str, Any] = {
-        "present": table.present,
-        "unrepresentable": table.unrepresentable,
-    }
-    for name, column in table.columns.items():
-        arrays[f"col.{name}"] = column
-    for name, mask in table.isnone.items():
-        arrays[f"isnone.{name}"] = mask
-    return export_arrays(arrays)
-
-
-def attach_certificate_table(artifact: SharedArtifact) -> "CertificateTable":
-    """Rebuild a :class:`CertificateTable` over shared column views."""
-    from repro.vectorized.compiler import CertificateTable
-
-    views = artifact.attach()
-    return CertificateTable(
-        present=views["present"],
-        unrepresentable=views["unrepresentable"],
-        columns={key[4:]: view for key, view in views.items()
-                 if key.startswith("col.")},
-        isnone={key[7:]: view for key, view in views.items()
-                if key.startswith("isnone.")},
-    )
-
-
-def export_edge_list_table(table: "EdgeListTable") -> SharedArtifact:
-    """Place a compiled :class:`EdgeListTable` (sublist included) into shm."""
-    arrays: dict[str, Any] = {
-        "offsets": table.offsets,
-        "counts": table.counts,
-        "unrepresentable": table.unrepresentable,
-    }
-    for name, column in table.columns.items():
-        arrays[f"col.{name}"] = column
-    for name, mask in table.isnone.items():
-        arrays[f"isnone.{name}"] = mask
-    if table.uids is not None:
-        arrays["uids"] = table.uids
-    if table.sub is not None:
-        arrays["sub.offsets"] = table.sub.offsets
-        arrays["sub.counts"] = table.sub.counts
-        for name, column in table.sub.columns.items():
-            arrays[f"sub.col.{name}"] = column
-    return export_arrays(arrays)
-
-
-def attach_edge_list_table(artifact: SharedArtifact) -> "EdgeListTable":
-    """Rebuild an :class:`EdgeListTable` over shared column views."""
-    from repro.vectorized.compiler import EdgeListTable, IntervalTable
-
-    views = artifact.attach()
-    sub = None
-    if "sub.offsets" in views:
-        sub = IntervalTable(
-            offsets=views["sub.offsets"],
-            counts=views["sub.counts"],
-            columns={key[8:]: view for key, view in views.items()
-                     if key.startswith("sub.col.")},
-        )
-    return EdgeListTable(
-        offsets=views["offsets"],
-        counts=views["counts"],
-        columns={key[4:]: view for key, view in views.items()
-                 if key.startswith("col.")},
-        isnone={key[7:]: view for key, view in views.items()
-                if key.startswith("isnone.")},
-        unrepresentable=views["unrepresentable"],
-        uids=views.get("uids"),
-        sub=sub,
-    )
-
-
-# ---------------------------------------------------------------------------
-# shared assignments: compiled certificate tables inside run_trials specs
-# ---------------------------------------------------------------------------
-
-class PrecompiledAssignment(dict):
-    """A certificate assignment carrying its compiled tables.
-
-    A plain ``dict`` of per-node certificates, plus a ``precompiled_tables``
-    attribute keyed by the compiler's memo keys
-    (:func:`~repro.vectorized.compiler.node_row_key` /
-    :func:`~repro.vectorized.compiler.list_rows_key`, the latter suffixed
-    ``"|uids"`` when uids were assigned).  ``compile_certificates`` /
-    ``compile_edge_lists`` duck-probe the attribute and return the
-    precompiled table instead of compiling — the only change the kernels
-    need is none at all, since they pass the mapping straight through.
-
-    The tables bind to the network the exporter compiled them against;
-    :func:`resolve_spec` only ever builds one of these from a
-    :class:`SharedAssignmentHandle`, whose contract is that the spec pairs
-    the assignment with that same (shared) network.
-    """
-
-    precompiled_tables: dict[str, Any]
-
-
-@dataclass(frozen=True)
-class SharedAssignmentHandle:
-    """Picklable stand-in for a certificate assignment plus its tables.
-
-    ``certificates`` travels by pickle as usual (the reference fallback
-    needs the actual certificate objects); the compiled struct-of-arrays
-    tables travel as shared segments — the part that is both large and
-    expensive to rebuild per worker.  Resolved transparently inside
-    ``run_trials`` specs, like :class:`SharedNetworkHandle`.
-    """
-
-    certificates: dict
-    tables: tuple[tuple[str, str, SharedArtifact], ...]  # (kind, key, artifact)
-
-    def unlink(self) -> None:
-        """Destroy the table segments (creator-side teardown)."""
-        for _kind, _key, artifact in self.tables:
-            artifact.unlink()
-
-
-def export_assignment(ctx: "VectorContext", kernel: Any,
-                      certificates: dict) -> SharedAssignmentHandle | None:
-    """Compile and export the tables ``kernel`` will want for ``certificates``.
-
-    ``kernel`` must expose ``table_specs()`` — a declarative list of the
-    compiles its ``accept_vector`` performs (see
-    :class:`~repro.vectorized.kernels.TreeKernel` for the shape).  Kernels
-    without the hook (or an shm-less host) return ``None`` and the caller
-    ships the bare assignment; the established pickle path applies.
-    """
-    if not HAVE_SHM:
-        return None
-    specs = getattr(kernel, "table_specs", None)
-    if specs is None:
-        return None
-    from repro.vectorized.compiler import (compile_certificates,
-                                           compile_edge_lists, list_rows_key,
-                                           node_row_key)
-
-    tables: list[tuple[str, str, SharedArtifact]] = []
-    for spec in specs():
-        kind = spec["kind"]
-        if kind == "certificate":
-            table = compile_certificates(ctx, certificates,
-                                         spec["certificate_type"],
-                                         spec["fields"])
-            key = node_row_key(spec["certificate_type"], spec["fields"])
-            tables.append((kind, key, export_certificate_table(table)))
-        elif kind == "edge_list":
-            table = compile_edge_lists(
-                ctx, certificates, spec["certificate_type"],
-                spec["list_name"], spec["entry_types"], spec["fields"],
-                sublist=spec.get("sublist"),
-                sublist_fields=spec.get("sublist_fields", ()),
-                sublist_max_len=spec.get("sublist_max_len"),
-                assign_uids=spec.get("assign_uids", False))
-            key = list_rows_key(spec["certificate_type"], spec["list_name"],
-                                spec["entry_types"], spec["fields"],
-                                spec.get("sublist"),
-                                spec.get("sublist_fields", ()),
-                                spec.get("sublist_max_len"))
-            if spec.get("assign_uids", False):
-                key += "|uids"
-            tables.append((kind, key, export_edge_list_table(table)))
-        else:  # pragma: no cover - spec author error
-            raise ValueError(f"unknown table spec kind {kind!r}")
-    return SharedAssignmentHandle(certificates=dict(certificates),
-                                  tables=tuple(tables))
-
-
-def attach_assignment(handle: SharedAssignmentHandle) -> PrecompiledAssignment:
-    """Rebuild the :class:`PrecompiledAssignment` behind ``handle``."""
-    assignment = PrecompiledAssignment(handle.certificates)
-    attached: dict[str, Any] = {}
-    for kind, key, artifact in handle.tables:
-        if kind == "certificate":
-            attached[key] = attach_certificate_table(artifact)
-        else:
-            attached[key] = attach_edge_list_table(artifact)
-    assignment.precompiled_tables = attached
-    return assignment

@@ -8,7 +8,9 @@ network's compiled :class:`~repro.graphs.indexed.IndexedGraph`:
   adjacency (``indptr`` / ``dst``), the matching per-directed-edge source
   index ``src``, and the network identifier of every node.  It is built once
   per network (the :class:`~repro.distributed.engine.SimulationEngine` caches
-  it alongside its structural views);
+  it alongside its structural views), or not at all for a network attached
+  from shared memory, which carries a zero-copy one over the shared pages
+  (:mod:`repro.distributed.shm`);
 * a :class:`CertificateTable` — the certificate-dependent part: one int64
   column per declared certificate field plus presence masks, rebuilt per
   assignment (the per-trial cost of the backend).
@@ -61,8 +63,6 @@ __all__ = [
     "build_batched_context",
     "compile_certificates",
     "compile_edge_lists",
-    "node_row_key",
-    "list_rows_key",
     "NONE_SENTINEL",
 ]
 
@@ -397,8 +397,8 @@ def _fields_key(fields: tuple[FieldSpec, ...]) -> str:
                     for spec in fields)
 
 
-def node_row_key(certificate_type: type,
-                 fields: tuple[FieldSpec, ...]) -> str:
+def _node_row_key(certificate_type: type,
+                  fields: tuple[FieldSpec, ...]) -> str:
     """Memo-key under which a certificate's extracted field row is cached.
 
     Keyed by certificate type and field layout, not ``id(fields)``: equal
@@ -407,26 +407,24 @@ def node_row_key(certificate_type: type,
     with a coincidentally equal layout never inherits another kernel's
     type-check verdict.  Getters cannot be part of the key, so a layout's
     (name, optional, limit) triples must determine its getters — use fresh
-    field names when a derived field changes meaning.  The incremental
-    table patchers (:mod:`repro.dynamic.tables`) share this key so a
-    delta recompile sees exactly the rows a from-scratch compile would.
+    field names when a derived field changes meaning.
     """
     return (f"_vectorized_row_{certificate_type.__qualname__}_"
             + _fields_key(fields))
 
 
-def list_rows_key(certificate_type: type, list_name: str,
-                  entry_types: tuple[type, ...],
-                  fields: tuple[FieldSpec, ...],
-                  sublist: str | None = None,
-                  sublist_fields: tuple[FieldSpec, ...] = (),
-                  sublist_max_len: int | None = None) -> str:
+def _list_rows_key(certificate_type: type, list_name: str,
+                   entry_types: tuple[type, ...],
+                   fields: tuple[FieldSpec, ...],
+                   sublist: str | None = None,
+                   sublist_fields: tuple[FieldSpec, ...] = (),
+                   sublist_max_len: int | None = None) -> str:
     """Memo-key for a certificate's pre-flattened edge-list rows.
 
-    Carries the entry types and the sublist spec as well: the same list
-    compiled under a narrower entry-type tuple (or without the nested
-    sub-rows) must not inherit these rows.  Shared with the incremental
-    patchers for the same reason as :func:`node_row_key`.
+    Keyed like :func:`_node_row_key`, and carries the entry types and the
+    sublist spec as well: the same list compiled under a narrower
+    entry-type tuple (or without the nested sub-rows) must not inherit
+    these rows.
     """
     key = (f"_vectorized_flatlist_{certificate_type.__qualname__}_{list_name}_"
            + "|".join(t.__qualname__ for t in entry_types) + "_"
@@ -487,21 +485,7 @@ def compile_certificates(ctx: VectorContext, certificates: dict[Any, Any],
     it survives across trials — attack assignments recycle a small pool of
     honest certificates, so steady-state compilation is one dict hit per node
     plus a single bulk array conversion).
-
-    A ``certificates`` mapping carrying a ``precompiled_tables`` attribute
-    (see :class:`~repro.distributed.shm.PrecompiledAssignment`) short-circuits
-    compilation entirely: the table compiled by the exporting process is
-    returned as-is.  The attribute is keyed by the same
-    :func:`node_row_key` the memoisation uses, so a precompiled table is by
-    construction the one this call would have built — provided the caller
-    pairs the assignment with the network it was compiled against, which is
-    the shared-assignment handle's contract.
     """
-    precompiled = getattr(certificates, "precompiled_tables", None)
-    if precompiled is not None:
-        table = precompiled.get(node_row_key(certificate_type, fields))
-        if table is not None:
-            return table
     with current_tracer().span("compile/certificates") as sp:
         if sp:
             sp.set(stage="certificates", nodes=int(ctx.n),
@@ -516,7 +500,7 @@ def _compile_certificates(ctx: VectorContext, certificates: dict[Any, Any],
     n = ctx.n
     width = len(fields)
     empty_row = (0,) * width
-    row_key = node_row_key(certificate_type, fields)
+    row_key = _node_row_key(certificate_type, fields)
     present = bytearray(n)
     unrepresentable = bytearray(n)
     get = certificates.get
@@ -662,20 +646,7 @@ def compile_edge_lists(ctx: VectorContext, certificates: dict[Any, Any],
     on ``table.uids`` (equal uid ⟺ equal extracted content).  For the uid to
     coincide with dataclass equality, ``fields`` plus the sublist must cover
     every dataclass field of every entry type.
-
-    As with :func:`compile_certificates`, a ``certificates`` mapping with a
-    ``precompiled_tables`` attribute short-circuits to the table compiled by
-    the exporting process (keyed by :func:`list_rows_key`, suffixed
-    ``"|uids"`` when ``assign_uids`` is requested, since the memo key does
-    not otherwise record it).
     """
-    precompiled = getattr(certificates, "precompiled_tables", None)
-    if precompiled is not None:
-        key = list_rows_key(certificate_type, list_name, entry_types, fields,
-                            sublist, sublist_fields, sublist_max_len)
-        table = precompiled.get((key + "|uids") if assign_uids else key)
-        if table is not None:
-            return table
     with current_tracer().span("compile/edge_lists") as sp:
         if sp:
             sp.set(stage="edge_lists", nodes=int(ctx.n), list=list_name,
@@ -695,8 +666,8 @@ def _compile_edge_lists(ctx: VectorContext, certificates: dict[Any, Any],
                         sublist_max_len: int | None = None,
                         assign_uids: bool = False) -> EdgeListTable:
     n = ctx.n
-    rows_key = list_rows_key(certificate_type, list_name, entry_types, fields,
-                             sublist, sublist_fields, sublist_max_len)
+    rows_key = _list_rows_key(certificate_type, list_name, entry_types,
+                              fields, sublist, sublist_fields, sublist_max_len)
     unrepresentable = bytearray(n)
     counts = [0] * n
     # streamed like _compile_certificates: the variable-width value stream

@@ -293,16 +293,6 @@ class TreeKernel:
     def supports(self, scheme: Any) -> bool:
         return type(scheme) is TreeScheme and scheme.verification_radius == 1
 
-    def table_specs(self) -> list[dict]:
-        """The compiles :meth:`accept_vector` performs, declaratively.
-
-        Consumed by :func:`repro.distributed.shm.export_assignment` to
-        pre-compile and share exactly the tables this kernel will ask for.
-        """
-        return [{"kind": "certificate",
-                 "certificate_type": SpanningTreeLabel,
-                 "fields": SPANNING_TREE_FIELDS}]
-
     def accept_vector(self, ctx: VectorContext, scheme: Any,
                       certificates: dict[Any, Any]) -> tuple[Any, Any]:
         table = compile_certificates(ctx, certificates, SpanningTreeLabel,

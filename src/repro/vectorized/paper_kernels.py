@@ -503,30 +503,6 @@ class PlanarityKernel:
         # accept_vector reads it, so both settings are supported
         return type(scheme) is PlanarityScheme and scheme.verification_radius == 1
 
-    def table_specs(self) -> list[dict]:
-        """The compiles :meth:`accept_vector` performs, declaratively.
-
-        Consumed by :func:`repro.distributed.shm.export_assignment` to
-        pre-compile and share exactly the tables this kernel will ask for.
-        The early spanning-tree exit can make the edge-list table dead
-        weight, but exporting it is still the right trade: the exporter
-        compiles once while workers would each compile it per trial.
-        """
-        return [
-            {"kind": "certificate",
-             "certificate_type": PlanarityCertificate,
-             "fields": PLANARITY_FIELDS},
-            {"kind": "edge_list",
-             "certificate_type": PlanarityCertificate,
-             "list_name": "edge_certificates",
-             "entry_types": (TreeEdgeCertificate, CotreeEdgeCertificate),
-             "fields": EDGE_CERTIFICATE_FIELDS,
-             "sublist": "intervals",
-             "sublist_fields": INTERVAL_ENTRY_FIELDS,
-             "sublist_max_len": MAX_INTERVAL_ENTRIES_PER_CERTIFICATE,
-             "assign_uids": True},
-        ]
-
     def accept_vector(self, ctx: VectorContext, scheme: Any,
                       certificates: dict[Any, Any]) -> tuple[Any, Any]:
         table = compile_certificates(ctx, certificates, PlanarityCertificate,

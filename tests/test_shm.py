@@ -3,26 +3,31 @@
 Covers the SharedArtifact lifecycle contract (attach/detach/unlink,
 refcounts, no leaked segments after exceptions), the network round trip
 (read-only SharedNetwork semantics, zero-copy context, verification
-equivalence), the compiled-table round trips, and the run_trials handle
-resolution on the serial and pool paths.
+equivalence of every PLS kernel on the read-only context), and the
+run_trials handle resolution on the serial and pool paths, which must
+compile no context for a shared network.
 """
 
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.adversary.campaign import campaign_graph
+from repro.adversary.strategies import STRATEGIES
 from repro.distributed import shm
 from repro.distributed.engine import SimulationEngine
 from repro.distributed.network import Network
 from repro.distributed.registry import default_registry
 from repro.distributed.verifier import run_verification
 from repro.exceptions import GraphError
-from repro.graphs.generators import delaunay_planar_graph, random_tree
+from repro.graphs.generators import delaunay_planar_graph
 from repro.graphs.graph import Graph
+from repro.observability.tracer import start_tracing, stop_tracing
 
 pytestmark = pytest.mark.skipif(not shm.HAVE_SHM,
                                 reason="shared memory unavailable")
@@ -139,7 +144,7 @@ class TestSharedNetwork:
         handle = engine.export_shared(network)
         assert handle is not None
         try:
-            shared = engine.attach(handle)
+            shared = shm.attach_network(handle)
             assert isinstance(shared, Network)
             assert sorted(shared.nodes()) == sorted(network.nodes())
             assert shared.size == network.size
@@ -157,7 +162,7 @@ class TestSharedNetwork:
         engine = SimulationEngine(backend="vectorized")
         handle = engine.export_shared(_planar_network())
         try:
-            shared = engine.attach(handle)
+            shared = shm.attach_network(handle)
             with pytest.raises(GraphError, match="read-only"):
                 shared.graph.add_edge("x", "y")
             with pytest.raises(GraphError, match="read-only"):
@@ -173,13 +178,13 @@ class TestSharedNetwork:
         handle = engine.export_shared(network)
         try:
             attacher = SimulationEngine(backend="vectorized")
-            shared = attacher.attach(handle)
+            shared = shm.attach_network(handle)
             shared_certs = {node: certificates[node]
                             for node in shared.nodes()}
             reference = run_verification(scheme, network, certificates)
             result = attacher.verify(scheme, shared, shared_certs)
             assert result.decisions == reference.decisions
-            # the attached context was pre-seeded: no recompile, no fallback
+            # the network lent its attached context: no recompile, no fallback
             assert attacher.backend_counters["kernel_calls"] == 1
             assert attacher.backend_counters["fallback_networks"] == 0
         finally:
@@ -197,73 +202,38 @@ class TestSharedNetwork:
         assert engine.export_shared(Network(graph, seed=1)) is None
 
 
-# ---------------------------------------------------------------------------
-# compiled-table round trips
-# ---------------------------------------------------------------------------
-class TestTableRoundTrips:
-    def test_certificate_table(self):
-        from repro.vectorized.compiler import (build_vector_context,
-                                               compile_certificates)
-        from repro.vectorized.kernels import SPANNING_TREE_FIELDS
+def _pls_kernel_names():
+    registry = default_registry()
+    return sorted(name for name in registry.kernel_names()
+                  if registry.entry(name).kind == "pls")
 
-        network = Network(random_tree(30, seed=2), seed=4)
-        scheme = default_registry().create("tree-pls")
-        certificates = scheme.prove(network)
-        ctx = build_vector_context(network)
-        table = compile_certificates(
-            ctx, certificates, type(next(iter(certificates.values()))),
-            SPANNING_TREE_FIELDS)
-        artifact = shm.export_certificate_table(table)
-        try:
-            clone = shm.attach_certificate_table(artifact)
-            assert np.array_equal(clone.present, table.present)
-            assert np.array_equal(clone.unrepresentable, table.unrepresentable)
-            assert set(clone.columns) == set(table.columns)
-            for name in table.columns:
-                assert np.array_equal(clone.columns[name],
-                                      table.columns[name]), name
-            for name in table.isnone:
-                assert np.array_equal(clone.isnone[name],
-                                      table.isnone[name]), name
-            artifact.detach()
-        finally:
-            artifact.unlink()
 
-    def test_edge_list_table_with_sublist_and_uids(self):
-        from repro.core.planarity_scheme import PlanarityCertificate
-        from repro.vectorized.compiler import (build_vector_context,
-                                               compile_edge_lists)
-        from repro.vectorized.paper_kernels import (EDGE_CERTIFICATE_FIELDS,
-                                                    INTERVAL_ENTRY_FIELDS)
-
-        network = _planar_network(60, seed=7)
-        scheme = default_registry().create("planarity-pls")
-        certificates = scheme.prove(network)
-        ctx = build_vector_context(network)
-        entry_types = tuple({type(entry) for cert in certificates.values()
-                             for entry in cert.edge_certificates})
-        table = compile_edge_lists(
-            ctx, certificates, PlanarityCertificate, "edge_certificates",
-            entry_types, EDGE_CERTIFICATE_FIELDS, sublist="intervals",
-            sublist_fields=INTERVAL_ENTRY_FIELDS, sublist_max_len=64,
-            assign_uids=True)
-        artifact = shm.export_edge_list_table(table)
-        try:
-            clone = shm.attach_edge_list_table(artifact)
-            for name in ("offsets", "counts", "unrepresentable", "uids"):
-                assert np.array_equal(getattr(clone, name),
-                                      getattr(table, name)), name
-            for name in table.columns:
-                assert np.array_equal(clone.columns[name],
-                                      table.columns[name]), name
-            assert table.sub is not None and clone.sub is not None
-            assert np.array_equal(clone.sub.offsets, table.sub.offsets)
-            for name in table.sub.columns:
-                assert np.array_equal(clone.sub.columns[name],
-                                      table.sub.columns[name]), name
-            artifact.detach()
-        finally:
-            artifact.unlink()
+@pytest.mark.parametrize("scheme_name", _pls_kernel_names())
+def test_every_kernel_decides_on_a_read_only_shared_context(scheme_name):
+    """Pool workers decide on the attached context, whose arrays are
+    read-only views: every PLS kernel must run there, honest and under one
+    corruption per strategy, with the reference verifier's decisions."""
+    scheme = default_registry().create(scheme_name)
+    network = Network(campaign_graph(scheme_name, 24), seed=24)
+    honest = scheme.prove(network)
+    assignments = [honest] + [
+        STRATEGIES[name]().corrupt(network, honest, random.Random(trial))
+        for trial, name in enumerate(sorted(STRATEGIES))]
+    handle = SimulationEngine().export_shared(network)
+    assert handle is not None
+    try:
+        shared = shm.attach_network(handle)
+        assert not shared.vector_context.src.flags.writeable
+        engine = SimulationEngine(backend="vectorized")
+        for certificates in assignments:
+            result = engine.verify(scheme, shared, certificates)
+            reference = run_verification(scheme, network, certificates)
+            assert result.decisions == reference.decisions
+        assert engine._vector_context(shared) is shared.vector_context
+        assert engine.backend_counters["kernel_calls"] == len(assignments)
+        assert engine.backend_counters["fallback_networks"] == 0
+    finally:
+        handle.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -325,51 +295,30 @@ class TestHandleResolution:
             handle.unlink()
 
 
-class TestSharedAssignments:
-    def test_round_trip_serves_precompiled_tables(self):
-        from repro.core.planarity_scheme import PlanarityScheme
-        from repro.vectorized.compiler import (compile_certificates,
-                                               node_row_key)
+class TestOnePath:
+    """A handle spec reaches the kernel with no context compile anywhere."""
 
-        scheme = PlanarityScheme()
-        network = Network(delaunay_planar_graph(40, seed=7))
-        engine = SimulationEngine(backend="vectorized")
-        certificates = scheme.prove(network)
-        handle = engine.export_assignment(network, scheme, certificates)
-        assert handle is not None
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_on_a_handle_compile_no_context(self, workers):
+        network = _planar_network(60, seed=5)
+        handle = SimulationEngine().export_shared(network)
         try:
-            assignment = shm.resolve_spec(pickle.loads(pickle.dumps(handle)))
-            assert isinstance(assignment, shm.PrecompiledAssignment)
-            assert assignment == dict(certificates)
-            # the compiler duck-hook must serve the attached table verbatim
-            ctx = engine._vector_context(network)
-            kernel = engine._kernel_for(scheme)
-            spec = kernel.table_specs()[0]
-            served = compile_certificates(ctx, assignment,
-                                          spec["certificate_type"],
-                                          spec["fields"])
-            key = node_row_key(spec["certificate_type"], spec["fields"])
-            assert served is assignment.precompiled_tables[key]
-            # end-to-end: identical kernel decisions with and without tables
-            plain = kernel.accept_vector(ctx, scheme, certificates)
-            precompiled = kernel.accept_vector(ctx, scheme, assignment)
-            assert np.array_equal(plain[0], precompiled[0])
-            assert np.array_equal(plain[1], precompiled[1])
+            engine = SimulationEngine(workers=workers)
+            tracer = start_tracing()
+            try:
+                shared = engine.run_trials(
+                    _decisions_trial, [("planarity-pls", handle)] * 2)
+            finally:
+                stop_tracing()
         finally:
             handle.unlink()
-
-    def test_export_returns_none_without_table_specs(self):
-        from repro.core.building_blocks import TreeScheme
-
-        class LegacyKernel:
-            scheme_name = TreeScheme.name
-
-            def supports(self, scheme):
-                return True
-
-        network = Network(random_tree(20, seed=1))
-        engine = SimulationEngine(backend="vectorized")
-        certificates = TreeScheme().prove(network)
-        assert shm.export_assignment(
-            engine._vector_context(network), LegacyKernel(),
-            certificates) is None
+        (direct,) = SimulationEngine().run_trials(
+            _decisions_trial, [("planarity-pls", network)])
+        assert sum(span.name == "trial" for span in tracer.spans) == 2
+        compiles = [span.attributes for span in tracer.spans
+                    if span.name == "compile"
+                    and span.attributes.get("stage") == "context"]
+        assert compiles == []
+        for decisions, network_type in shared:
+            assert network_type == "SharedNetwork"
+            assert pickle.dumps(decisions) == pickle.dumps(direct[0])
