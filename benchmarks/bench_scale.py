@@ -243,13 +243,17 @@ def main() -> None:
 
     effective = effective_cpu_count()
     speedup_rows = [row for row in pool_section["rows"] if row["workers"] > 1]
+    # a failed gate still writes its JSON and trace, then exits non-zero
+    failure = None
     if effective is not None and effective >= 2:
         best = max(row["speedup"] for row in speedup_rows)
         if best < 1.5:
-            raise SystemExit(
-                f"multi-core box ({effective} effective CPUs) but best pool "
-                f"speedup is {best}x < 1.5x")
-        speedup_assertion = f"passed ({best}x on {effective} effective CPUs)"
+            failure = (f"multi-core box ({effective} effective CPUs) but best "
+                       f"pool speedup is {best}x < 1.5x")
+            speedup_assertion = f"failed ({failure})"
+        else:
+            speedup_assertion = (f"passed ({best}x on {effective} effective "
+                                 "CPUs)")
     else:
         speedup_assertion = (f"skipped (effective_cpus={effective}: a pool "
                              "cannot beat serial without a second core)")
@@ -271,6 +275,8 @@ def main() -> None:
     print(f"wrote {args.output}")
     write_span_log(tracer, str(args.trace_output))
     print(f"wrote {args.trace_output}")
+    if failure is not None:
+        raise SystemExit(failure)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ interval / DFS-copy structure the paper's verifiers check, and forge
 exactly the fields those checks read.  Each returns a fresh assignment
 and falls back to one blind corruption when the assignment carries no
 matching structure, so every strategy built on them is total over the
-seven schemes.
+seven schemes.  Their candidate sites come from a private site index
+(:func:`_sites`): every node is scanned once per (network, assignment),
+not once per corruption.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
-from typing import Any
+import weakref
+from operator import is_not
+from typing import Any, Callable
 
 from repro.core.nonplanarity_scheme import SubdivisionRole
 
@@ -321,6 +325,98 @@ def _with_tree_label(certificate: Any, field: str | None, label: Any) -> Any:
         certificate, **{field: label})
 
 
+# ----------------------------------------------------------------------
+# the site index: each assignment's candidate sites, scanned once
+# ----------------------------------------------------------------------
+def _parented_sites(nodes: list[Any], certificates: list[Any]) -> list[Any]:
+    """Nodes whose certificate carries a tree label with a parent to deny."""
+    sites = []
+    for node, certificate in zip(nodes, certificates):
+        label, _ = _tree_label(certificate)
+        if label is not None and label.parent_id is not None:
+            sites.append(node)
+    return sites
+
+
+def _interval_sites(nodes: list[Any],
+                    certificates: list[Any]) -> list[tuple[Any, Any]]:
+    """``(node, None)`` per ``interval`` pair, ``(node, edge_certificates)``
+    per edge-certificate tuple with an ``intervals`` entry."""
+    sites = []
+    for node, certificate in zip(nodes, certificates):
+        if _field_names(type(certificate)) is None:
+            continue
+        interval = getattr(certificate, "interval", None)
+        if isinstance(interval, tuple) and len(interval) == 2:
+            sites.append((node, None))
+            continue
+        entries = getattr(certificate, "edge_certificates", None)
+        if isinstance(entries, tuple) and \
+                any(getattr(entry, "intervals", ()) for entry in entries):
+            sites.append((node, entries))
+    return sites
+
+
+def _edge_list_sites(nodes: list[Any], certificates: list[Any]) -> list[Any]:
+    """Nodes that own a non-empty ``edge_certificates`` tuple."""
+    sites = []
+    for node, certificate in zip(nodes, certificates):
+        entries = getattr(certificate, "edge_certificates", None)
+        if isinstance(entries, tuple) and entries:
+            sites.append(node)
+    return sites
+
+
+#: assignments whose sites are kept per network; every caller corrupts one
+#: honest assignment many times, so a few suffice
+_INDEXED_ASSIGNMENTS = 4
+
+
+@dataclasses.dataclass
+class _SiteRecord:
+    """One scanned assignment: what was scanned, and each scan's sites."""
+
+    nodes: list[Any]
+    #: the certificate objects scanned, in ``nodes`` order
+    certificates: list[Any]
+    sites: dict[Callable, list] = dataclasses.field(default_factory=dict)
+
+
+#: network -> records of its most recently scanned assignments, newest
+#: first; weakly keyed, so the records die with the network
+_SITE_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _sites(scan: Callable[[list[Any], list[Any]], list],
+           certificates: dict[Any, Any], network: Any) -> list:
+    """``scan``'s candidate sites of ``certificates`` on ``network``.
+
+    The first call on a (network, assignment) pair runs ``scan`` over the
+    nodes in node order.  Later calls reuse its list while the network
+    lists the same nodes in the same order and every node's certificate
+    is the very object scanned, checked by identity at C speed as the
+    engine's local decide checks changed certificates.  Sites depend on
+    nothing else, so a reused list equals a fresh scan, entry for entry,
+    and the same ``rng`` draws pick the same site.  The returned list is
+    shared: callers must not mutate it.
+    """
+    nodes = network.nodes()
+    records = _SITE_INDEX.setdefault(network, [])
+    for record in records:
+        if record.nodes == nodes and \
+                not any(map(is_not, map(certificates.get, nodes),
+                            record.certificates)):
+            break
+    else:
+        record = _SiteRecord(nodes, list(map(certificates.get, nodes)))
+        records.insert(0, record)
+        del records[_INDEXED_ASSIGNMENTS:]
+    sites = record.sites.get(scan)
+    if sites is None:
+        sites = record.sites[scan] = scan(record.nodes, record.certificates)
+    return sites
+
+
 def lie_about_root(certificates: dict[Any, Any], network: Any,
                    rng: random.Random) -> dict[Any, Any]:
     """A non-root node forges a root claim: ``parent_id = None``, its own id
@@ -332,11 +428,7 @@ def lie_about_root(certificates: dict[Any, Any], network: Any,
     be parentless).  Falls back to one blind corruption when no
     certificate carries a tree label with a parent to deny.
     """
-    candidates = []
-    for node in network.nodes():
-        label, _ = _tree_label(certificates.get(node))
-        if label is not None and label.parent_id is not None:
-            candidates.append(node)
+    candidates = _sites(_parented_sites, certificates, network)
     if not candidates:
         return corrupt_assignment(certificates, list(network.nodes()), rng)
     node = rng.choice(candidates)
@@ -359,19 +451,7 @@ def shift_interval_endpoint(certificates: dict[Any, Any], network: Any,
     blind corruption when the assignment claims no intervals at all
     (e.g. the dMAM first messages, whose intervals are empty by design).
     """
-    candidates = []
-    for node in network.nodes():
-        certificate = certificates.get(node)
-        if _field_names(type(certificate)) is None:
-            continue
-        interval = getattr(certificate, "interval", None)
-        if isinstance(interval, tuple) and len(interval) == 2:
-            candidates.append((node, None))
-            continue
-        entries = getattr(certificate, "edge_certificates", None)
-        if isinstance(entries, tuple) and \
-                any(getattr(entry, "intervals", ()) for entry in entries):
-            candidates.append((node, entries))
+    candidates = _sites(_interval_sites, certificates, network)
     if not candidates:
         return corrupt_assignment(certificates, list(network.nodes()), rng)
     node, entries = candidates[rng.randrange(len(candidates))]
@@ -410,12 +490,7 @@ def swap_dfs_copies(certificates: dict[Any, Any], network: Any,
     reconstruction.  Falls back to one blind corruption when no node owns
     edge certificates.
     """
-    candidates = []
-    for node in network.nodes():
-        certificate = certificates.get(node)
-        entries = getattr(certificate, "edge_certificates", None)
-        if isinstance(entries, tuple) and entries:
-            candidates.append(node)
+    candidates = _sites(_edge_list_sites, certificates, network)
     if not candidates:
         return corrupt_assignment(certificates, list(network.nodes()), rng)
     node = rng.choice(candidates)

@@ -5,7 +5,8 @@ assignment, it returns a corrupted assignment.  The contract (documented
 for authors in ``docs/ADVERSARY.md``) is deliberately narrow:
 
 * a strategy may observe the network and the assignment it is given —
-  nothing else (no engine, no tracer, no global state);
+  nothing else (no engine, no tracer, no global state that can change an
+  output);
 * all randomness comes from the passed ``rng``; the same ``rng`` state
   must yield the same output (campaign results are committed and must be
   byte-identical across worker counts and backends);
@@ -28,6 +29,8 @@ from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
 from repro.adversary.corruption import (
+    _parented_sites,
+    _sites,
     _tree_label,
     _with_tree_label,
     corrupt_assignment,
@@ -125,11 +128,7 @@ class CoordinatedRootSplit:
 
     def corrupt(self, network: Any, certificates: dict[Any, Any],
                 rng: random.Random) -> dict[Any, Any]:
-        candidates = []
-        for node in network.nodes():
-            label, _ = _tree_label(certificates.get(node))
-            if label is not None and label.parent_id is not None:
-                candidates.append(node)
+        candidates = _sites(_parented_sites, certificates, network)
         if not candidates:
             return corrupt_assignment(certificates, list(network.nodes()), rng)
         defector = rng.choice(candidates)

@@ -204,88 +204,6 @@ def comparison_experiment(n: int = 40, seed: int = 0,
 
 
 # ----------------------------------------------------------------------
-# E5 (randomized side): empirical dMAM error rates over challenge draws
-# ----------------------------------------------------------------------
-def dmam_error_experiment(n: int = 40, trials: int = 50, seed: int = 0,
-                          engine: SimulationEngine | None = None) -> list[dict[str, Any]]:
-    """Estimate the dMAM baseline's acceptance rates over many challenge draws.
-
-    Two legs per instance, both fanned out through
-    :meth:`~repro.distributed.engine.SimulationEngine.estimate_soundness_error`
-    (cached first turn, cached view structures, challenge-independent
-    verifier states computed once):
-
-    * **honest** — honest Merlin on a planar instance; the accept-all rate is
-      the empirical completeness and must be ``1.0``;
-    * **forged-products** — Merlin's second message corrupts one subtree
-      aggregation product per draw; the deterministic bottom-up product check
-      catches this on *every* draw, so the measured error is ``0.0``, far
-      below the protocol's analytic fingerprint bound ``m / 2^61`` (reported
-      alongside for context — the bound only bites for provers who cheat in
-      the fingerprinted quantities themselves).
-    """
-    from repro.baselines.dmam import FIELD_PRIME
-
-    engine = _engine_or_default(engine)
-    protocol = default_registry().create("planarity-dmam")
-    graph = random_apollonian_network(n, seed=seed)
-    network = engine.network_for(graph, seed=seed)
-    turn = engine.first_turn(protocol, network)
-    analytic_bound = graph.number_of_edges() / float(FIELD_PRIME)
-
-    honest = engine.estimate_soundness_error(protocol, network, trials, seed=seed)
-    forged = engine.estimate_soundness_error(
-        protocol, network, trials, seed=seed,
-        first=turn.messages,
-        second_strategy=_ForgedProductStrategy(protocol, turn))
-
-    rows = []
-    for label, estimate in [("honest", honest), ("forged-products", forged)]:
-        rows.append({
-            "prover": label,
-            "n": graph.number_of_nodes(),
-            "m": graph.number_of_edges(),
-            "trials": estimate.trials,
-            "accept_all": estimate.all_accept_count,
-            "accept_all_rate": estimate.error_rate,
-            "max_accepting_nodes": estimate.max_accepting,
-            "analytic_error_bound": analytic_bound,
-        })
-    return rows
-
-
-class _ForgedProductStrategy:
-    """Second-turn strategy corrupting one subtree aggregation product.
-
-    A module-level class (not a closure) so
-    :meth:`~repro.distributed.engine.SimulationEngine.estimate_soundness_error`
-    can pickle it into :meth:`run_trials` workers when the caller's engine
-    runs with ``workers > 1``.
-    """
-
-    def __init__(self, protocol: Any, turn: Any) -> None:
-        self.protocol = protocol
-        self.turn = turn
-
-    def __call__(self, network: Network, first: dict[Node, Any],
-                 challenges: dict[Node, int]) -> dict[Node, Any]:
-        import dataclasses
-
-        from repro.baselines.dmam import FIELD_PRIME
-
-        second = self.protocol.second_turn(network, self.turn, challenges)
-        victim = next(iter(second))
-        message = second[victim]
-        second[victim] = dataclasses.replace(
-            message, push_product_subtree=(message.push_product_subtree + 1)
-            % FIELD_PRIME)
-        return second
-
-
-__all__.append("dmam_error_experiment")
-
-
-# ----------------------------------------------------------------------
 # E6 (counting side): lower bound vs upper bound
 # ----------------------------------------------------------------------
 def lower_bound_table(k: int = 5, p_values: list[int] | None = None) -> list[dict[str, Any]]:

@@ -178,14 +178,6 @@ class PlanarCutDecomposition:
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
-def _tree_neighbors(tree: RootedTree, node: Node) -> set[Node]:
-    neighbors = set(tree.children(node))
-    parent = tree.parent(node)
-    if parent is not None:
-        neighbors.add(parent)
-    return neighbors
-
-
 def _children_in_rotation_order(rotation: RotationSystem, tree: RootedTree,
                                 node: Node) -> list[Node]:
     """Return the tree children of ``node`` ordered by the rotation.

@@ -129,12 +129,6 @@ def certify_and_verify(scheme: ProofLabelingScheme, graph: Graph,
     return result
 
 
-def reject_everywhere_or_accept(scheme: ProofLabelingScheme, network: Network,
-                                certificates: dict[Node, Any]) -> bool:
-    """Return ``True`` when the certificate assignment makes every node accept."""
-    return run_verification(scheme, network, certificates).accepted
-
-
 def completeness_holds(scheme: ProofLabelingScheme, graph: Graph,
                        seed: int | None = None) -> bool:
     """Check completeness on one *yes*-instance (honest prover then unanimous accept)."""

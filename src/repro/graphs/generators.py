@@ -23,7 +23,6 @@ __all__ = [
     "wheel_graph",
     "ladder_graph",
     "grid_graph",
-    "binary_tree",
     "random_tree",
     "random_apollonian_network",
     "random_planar_graph",
@@ -115,15 +114,6 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 graph.add_edge(node, node + 1)
             if r + 1 < rows:
                 graph.add_edge(node, node + cols)
-    return graph
-
-
-def binary_tree(depth: int) -> Graph:
-    """Return the complete binary tree of the given depth (root ``0``)."""
-    n = 2 ** (depth + 1) - 1
-    graph = Graph(nodes=range(n))
-    for i in range(1, n):
-        graph.add_edge(i, (i - 1) // 2)
     return graph
 
 

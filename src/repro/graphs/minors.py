@@ -36,7 +36,6 @@ __all__ = [
     "contract_branch_sets",
     "is_k4_minor_free",
     "has_clique_minor",
-    "has_bipartite_minor",
 ]
 
 
@@ -213,16 +212,6 @@ def _min_degree_prune(graph: Graph, k: int) -> Graph:
                     work.add_edge(a, b)
                 changed = True
     return work
-
-
-def has_bipartite_minor(graph: Graph, p: int, q: int, _budget: list[int] | None = None) -> bool:
-    """Exact test for a ``K_{p,q}`` minor by contraction search (small graphs only)."""
-    if _budget is None:
-        _budget = [200_000]
-    from repro.graphs.generators import complete_bipartite_graph
-
-    target = complete_bipartite_graph(p, q)
-    return _has_minor_by_contraction(graph, target, _budget, {})
 
 
 def _graph_signature(graph: Graph) -> frozenset:

@@ -6,9 +6,12 @@ cases and the decide loop that every attack and campaign cell shares.
 
 from __future__ import annotations
 
+import gc
 import json
 import pickle
 import random
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +35,11 @@ from repro.baselines.dmam import FIELD_PRIME, PlanarityDMAMProtocol
 from repro.distributed.engine import SimulationEngine
 from repro.distributed.network import Network
 from repro.distributed.registry import default_registry
-from repro.graphs.generators import path_graph
+from repro.graphs.generators import (
+    delaunay_planar_graph,
+    path_graph,
+    random_tree,
+)
 from repro.observability import Tracer, install, start_tracing, stop_tracing
 
 #: deliberately small experiment primes (all prime; chords ~ 29 at n = 16,
@@ -135,6 +142,115 @@ class TestStrategies:
             corrupted = factory().corrupt(network, bare, random.Random(9))
             assert isinstance(corrupted, dict)
             assert set(corrupted) == set(bare)
+
+
+# ----------------------------------------------------------------------
+# the site index: candidate sites scanned once per (network, assignment)
+# ----------------------------------------------------------------------
+def _corrupt(name: str, network: Network, certificates: dict, seed: int):
+    return STRATEGIES[name]().corrupt(network, certificates,
+                                      random.Random(seed))
+
+
+class TestSiteIndex:
+    """A reused scan must draw exactly the sites a first scan draws."""
+
+    SEEDS = range(5)
+
+    @staticmethod
+    def _honest(scheme_name: str) -> tuple[Network, dict]:
+        """A 200-node Delaunay mesh or random tree and its honest labels."""
+        graph = delaunay_planar_graph(200, seed=7) \
+            if scheme_name == "planarity-pls" else random_tree(200, seed=7)
+        network = Network(graph, seed=7)
+        return network, default_registry().create(scheme_name).prove(network)
+
+    @staticmethod
+    def _cold(network: Network, base: dict, name: str, seed: int,
+              held: list):
+        """``name``'s output from a first call: a fresh network with the
+        same graph and identifiers, and a fresh copy of ``base``; both are
+        appended to ``held`` so no later object reuses their ids."""
+        fresh = Network(network.graph, ids={node: network.id_of(node)
+                                            for node in network.nodes()})
+        certificates = dict(base)
+        held.append((fresh, certificates))
+        return _corrupt(name, fresh, certificates, seed)
+
+    @pytest.mark.parametrize("scheme_name", ["planarity-pls", "tree-pls"])
+    def test_warm_calls_equal_cold_calls(self, scheme_name):
+        network, base = self._honest(scheme_name)
+        held: list = []
+        grid = [(name, seed) for seed in self.SEEDS
+                for name in sorted(STRATEGIES)]
+        cold = [self._cold(network, base, name, seed, held)
+                for name, seed in grid]
+        for _ in range(2):
+            assert [_corrupt(name, network, base, seed)
+                    for name, seed in grid] == cold
+        copies = []
+        for (name, seed), expected in zip(grid, cold):
+            copies.append(dict(base))
+            assert _corrupt(name, network, copies[-1], seed) == expected
+
+    @pytest.mark.parametrize("scheme_name", ["planarity-pls", "tree-pls"])
+    def test_an_in_place_change_invalidates_the_index(self, scheme_name):
+        network, base = self._honest(scheme_name)
+
+        def liars():
+            """The node root-lie forges, per seed."""
+            forged = []
+            for seed in self.SEEDS:
+                corrupted = _corrupt("root-lie", network, base, seed)
+                [node] = [node for node in network.nodes()
+                          if corrupted[node] is not base[node]]
+                forged.append(node)
+            return forged
+
+        before = liars()
+        # a stale index would draw this node again and raise on its None
+        base[before[0]] = None
+        held: list = []
+        for name in sorted(STRATEGIES):
+            for seed in self.SEEDS:
+                assert _corrupt(name, network, base, seed) == \
+                    self._cold(network, base, name, seed, held)
+        assert liars() != before
+
+    def test_a_new_node_order_is_rescanned(self):
+        """Sites follow node order even when every node shares one
+        certificate, so no certificate identity changes."""
+        network = Network(random_tree(20, seed=7), seed=7)
+        honest = default_registry().create("tree-pls").prove(network)
+        [label, *_] = [label for label in honest.values()
+                       if label.parent_id is not None]
+        shared = {node: label for node in network.nodes()}
+        before = [_corrupt("root-lie", network, shared, seed)
+                  for seed in self.SEEDS]
+        # move the first node to the end of the node order
+        graph = network.graph
+        first = next(iter(network.nodes()))
+        neighbors = list(graph.neighbors(first))
+        graph.remove_node(first)
+        graph.add_node(first)
+        for neighbor in neighbors:
+            graph.add_edge(first, neighbor)
+        held: list = []
+        after = [_corrupt("root-lie", network, shared, seed)
+                 for seed in self.SEEDS]
+        assert after == [self._cold(network, shared, "root-lie", seed, held)
+                         for seed in self.SEEDS]
+        assert after != before
+
+    def test_the_index_keeps_no_assignment_alive(self):
+        network = Network(random_tree(50, seed=7), seed=7)
+        base = default_registry().create("tree-pls").prove(network)
+        for name in sorted(STRATEGIES):
+            _corrupt(name, network, base, 0)
+        probe = weakref.ref(next(iter(base.values())))
+        del network, base
+        gc.collect()
+        assert probe() is None
 
 
 # ----------------------------------------------------------------------
@@ -384,6 +500,14 @@ class TestCampaign:
         reference = CampaignRunner(backend="reference", workers=1).run(self.CELLS)
         assert json.dumps(baseline) == json.dumps(pooled)
         assert json.dumps(baseline) == json.dumps(reference)
+
+    def test_committed_campaign_rows_replay(self):
+        """Every strategy on every PLS scheme, against BENCH_adversary.json."""
+        bench = Path(__file__).resolve().parents[1] / "BENCH_adversary.json"
+        committed = json.loads(bench.read_text())["sections"]["campaign"]
+        rows = CampaignRunner(backend="vectorized", workers=1, seed=2020).run(
+            default_cells(sizes=(16, 24), trials=32, seed=2020))
+        assert rows == committed["rows"]
 
     def test_default_cells_cover_the_grid(self):
         cells = default_cells(sizes=(16,), trials=4)
