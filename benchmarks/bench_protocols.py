@@ -1,8 +1,7 @@
-"""Protocol-runtime benchmark: the per-node runners vs the unified engine paths.
+"""Protocol-runtime benchmark: the per-node runner vs the unified engine path.
 
-PRs 1–3 eliminated the per-trial view-rebuild cost for the one-interaction
-PLS path; this benchmark measures the same migration for the two remaining
-protocol families, in two sections:
+The one-interaction PLS path decides from cached view structures; this
+benchmark measures the same for the interactive baseline, in one section:
 
 * **dmam** — soundness/completeness estimation of the three-interaction
   randomized baseline over many challenge draws.  The reference leg calls
@@ -14,15 +13,6 @@ protocol families, in two sections:
   challenge-independent verifier states computed once, decision-only
   rounds).  Per-draw accepting-node counts — and the full transcript of the
   first draw — must match byte for byte.
-
-* **congest** — round throughput of the synchronous CONGEST simulator.  The
-  reference leg is the seed implementation (node-keyed process dict, global
-  ``node_of`` lookup per delivered message, per-round rebuild of a
-  node-keyed pending map), inlined below; the engine leg is the shipped
-  :class:`~repro.distributed.congest.SynchronousSimulator`, rebuilt on the
-  network's compiled ``IndexedGraph`` (contiguous-index process list,
-  CSR-built per-node delivery tables).  Outputs and per-round statistics
-  must match byte for byte.
 
 Run from the repository root::
 
@@ -39,31 +29,21 @@ from pathlib import Path
 from typing import Any
 
 from bench_common import provenance
-from repro.distributed.congest import NodeProcess, RoundResult, _message_bits
 from repro.distributed.engine import SimulationEngine, derive_seed
 from repro.distributed.interactive import run_interactive_protocol
 from repro.distributed.network import Network
 from repro.distributed.registry import default_registry
-from repro.exceptions import ProtocolError
-from repro.graphs.generators import delaunay_planar_graph, grid_graph
-from repro.graphs.graph import Node
+from repro.graphs.generators import delaunay_planar_graph
 
 SEED = 2020  # PODC 2020
 
 FULL_DMAM_SIZES = [100, 250, 500]
 FULL_DMAM_DRAWS = 12
-FULL_GRID_SIDES = [20, 40, 60]
-FULL_CONGEST_REPEATS = 3
 
 QUICK_DMAM_SIZES = [40, 80]
 QUICK_DMAM_DRAWS = 4
-QUICK_GRID_SIDES = [10, 15]
-QUICK_CONGEST_REPEATS = 2
 
 
-# ----------------------------------------------------------------------
-# section 1: dMAM soundness-estimation sweep
-# ----------------------------------------------------------------------
 def run_dmam_section(sizes: list[int], draws: int) -> dict[str, Any]:
     """Estimate per-draw acceptance through both runtimes and time them."""
     registry = default_registry()
@@ -118,148 +98,6 @@ def run_dmam_section(sizes: list[int], draws: int) -> dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------------------
-# section 2: CONGEST round-throughput sweep
-# ----------------------------------------------------------------------
-class _ReferenceSimulator:
-    """The seed per-node simulator, kept verbatim as the benchmark baseline.
-
-    Node-keyed process dict, ``Network.node_of`` per delivered message, and a
-    node-keyed pending map rebuilt each round — exactly the shape the
-    CSR-based :class:`~repro.distributed.congest.SynchronousSimulator`
-    replaces.
-    """
-
-    def __init__(self, network: Network) -> None:
-        self.network = network
-        self.processes = {
-            node: NodeProcess(node=node,
-                              identifier=network.id_of(node),
-                              neighbor_ids=network.neighbor_ids(node))
-            for node in network.nodes()
-        }
-        self.round_results: list[RoundResult] = []
-        self._pending: dict[Node, dict[int, Any]] = {node: {} for node in network.nodes()}
-
-    def run(self, algorithm, max_rounds: int = 1000) -> list[RoundResult]:
-        for round_index in range(max_rounds):
-            if all(process.halted for process in self.processes.values()):
-                break
-            self._run_round(algorithm, round_index)
-        else:
-            if not all(process.halted for process in self.processes.values()):
-                raise ProtocolError(f"simulation did not terminate within {max_rounds} rounds")
-        return self.round_results
-
-    def _run_round(self, algorithm, round_index: int) -> None:
-        outboxes: dict[Node, dict[int, Any]] = {}
-        for node, process in self.processes.items():
-            if process.halted:
-                continue
-            inbox = self._pending[node]
-            outbox = algorithm(process, inbox) or {}
-            allowed = set(process.neighbor_ids)
-            for target in outbox:
-                if target not in allowed:
-                    raise ProtocolError(
-                        f"node {process.identifier} attempted to message non-neighbor {target}")
-            outboxes[node] = outbox
-        self._pending = {node: {} for node in self.network.nodes()}
-        sizes: list[int] = []
-        count = 0
-        for node, outbox in outboxes.items():
-            sender_id = self.processes[node].identifier
-            for target_id, message in outbox.items():
-                target_node = self.network.node_of(target_id)
-                self._pending[target_node][sender_id] = message
-                sizes.append(_message_bits(message))
-                count += 1
-        self.round_results.append(RoundResult(
-            round_index=round_index,
-            messages_sent=count,
-            max_message_bits=max(sizes, default=0),
-            total_message_bits=sum(sizes),
-        ))
-
-    def outputs(self) -> dict[Node, Any]:
-        return {node: process.output for node, process in self.processes.items()}
-
-
-def _bfs_flooding(source_id: int):
-    """Distance flooding: every node learns and outputs its hop distance."""
-    def algorithm(process: NodeProcess, inbox: dict[int, Any]) -> dict[int, Any]:
-        state = process.state
-        if "dist" in state:
-            process.halt(output=state["dist"])
-            return {}
-        if process.identifier == source_id:
-            state["dist"] = 0
-        elif inbox:
-            state["dist"] = min(inbox.values()) + 1
-        if "dist" in state:
-            return {nid: state["dist"] for nid in process.neighbor_ids}
-        return {}
-    return algorithm
-
-
-def _congest_outcome(simulator: Any, network: Network) -> list[Any]:
-    outputs = sorted((network.id_of(node), value)
-                     for node, value in simulator.outputs().items())
-    rounds = [[r.round_index, r.messages_sent, r.max_message_bits,
-               r.total_message_bits] for r in simulator.round_results]
-    return [outputs, rounds]
-
-
-def run_congest_section(sides: list[int], repeats: int) -> dict[str, Any]:
-    """Run the flooding sweep through both simulators and time them."""
-    outcomes_reference: list[Any] = []
-    outcomes_engine: list[Any] = []
-    reference_seconds = 0.0
-    engine_seconds = 0.0
-    summary = []
-    from repro.distributed.congest import SynchronousSimulator
-
-    for side in sides:
-        graph = grid_graph(side, side)
-        network = Network(graph, seed=SEED + side)
-        source_id = min(network.ids())
-        max_rounds = 4 * side + 4
-        # the compiled IndexedGraph is a one-time per-graph cost shared with
-        # every other runtime on the same network; build it untimed so the
-        # legs compare round throughput, not the compile
-        graph.indexed()
-
-        for simulator_class, outcomes, is_engine in [
-                (_ReferenceSimulator, outcomes_reference, False),
-                (SynchronousSimulator, outcomes_engine, True)]:
-            start = time.perf_counter()
-            for _ in range(repeats):
-                simulator = simulator_class(network)
-                simulator.run(_bfs_flooding(source_id), max_rounds=max_rounds)
-            elapsed = time.perf_counter() - start
-            if is_engine:
-                engine_seconds += elapsed
-            else:
-                reference_seconds += elapsed
-            outcomes.append([side, _congest_outcome(simulator, network)])
-        summary.append([side, side * side,
-                        outcomes_reference[-1][1][1][-1][0] + 1,  # rounds used
-                        sum(r[1] for r in outcomes_reference[-1][1][1])])
-
-    identical = outcomes_reference == outcomes_engine
-    return {
-        "grid_sides": sides,
-        "repeats": repeats,
-        "reference_seconds": round(reference_seconds, 3),
-        "engine_seconds": round(engine_seconds, 3),
-        "speedup": round(reference_seconds / engine_seconds, 2) if engine_seconds else float("inf"),
-        "outcomes_identical": identical,
-        # per grid: side, n, rounds used, total messages
-        "outcome_summary": summary,
-        "_identical": identical,
-    }
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -270,31 +108,25 @@ def main() -> None:
 
     dmam_sizes = QUICK_DMAM_SIZES if args.quick else FULL_DMAM_SIZES
     draws = QUICK_DMAM_DRAWS if args.quick else FULL_DMAM_DRAWS
-    sides = QUICK_GRID_SIDES if args.quick else FULL_GRID_SIDES
-    repeats = QUICK_CONGEST_REPEATS if args.quick else FULL_CONGEST_REPEATS
 
     print(f"dMAM soundness sweep (sizes={dmam_sizes}, draws={draws}) ...")
     dmam = run_dmam_section(dmam_sizes, draws)
     print(f"  reference {dmam['reference_seconds']:.2f}s  "
           f"engine {dmam['engine_seconds']:.2f}s  speedup {dmam['speedup']:.2f}x")
-    print(f"congest flooding sweep (grid sides={sides}, repeats={repeats}) ...")
-    congest = run_congest_section(sides, repeats)
-    print(f"  reference {congest['reference_seconds']:.2f}s  "
-          f"engine {congest['engine_seconds']:.2f}s  speedup {congest['speedup']:.2f}x")
 
-    identical = dmam.pop("_identical") and congest.pop("_identical")
+    identical = dmam.pop("_identical")
     print(f"outcomes identical: {identical}")
     if not identical:
-        raise SystemExit("protocol-runtime outcomes diverge from the reference runners")
+        raise SystemExit("protocol-runtime outcomes diverge from the reference runner")
 
     payload = {
-        "benchmark": "protocol runtimes: per-node runners vs the unified engine paths",
-        "protocols": ["planarity-dmam", "congest-flooding"],
+        "benchmark": "protocol runtimes: per-node runner vs the unified engine path",
+        "protocols": ["planarity-dmam"],
         "seed": SEED,
         "quick": args.quick,
         "provenance": provenance(),
         "outcomes_identical": identical,
-        "sections": {"dmam": dmam, "congest": congest},
+        "sections": {"dmam": dmam},
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")

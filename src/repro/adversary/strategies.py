@@ -72,10 +72,10 @@ class RandomCorruption:
     def corrupt(self, network: Any, certificates: dict[Any, Any],
                 rng: random.Random) -> dict[Any, Any]:
         nodes = list(network.nodes())
-        mutated = dict(certificates)
+        mutated = certificates  # every round returns a fresh dict
         for _ in range(self.rounds):
             mutated = corrupt_assignment(mutated, nodes, rng)
-        return mutated
+        return mutated if mutated is not certificates else dict(certificates)
 
 
 @dataclass(frozen=True)

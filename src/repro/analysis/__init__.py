@@ -11,7 +11,7 @@ from repro.analysis.experiments import (
     soundness_experiment,
     upper_vs_lower_bound_table,
 )
-from repro.analysis.fitting import ScalingFit, fit_log_scaling, fit_nlog_scaling
+from repro.analysis.fitting import ScalingFit, fit_log_scaling
 from repro.analysis.tables import format_table, print_table
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "upper_vs_lower_bound_table",
     "ScalingFit",
     "fit_log_scaling",
-    "fit_nlog_scaling",
     "format_table",
     "print_table",
 ]

@@ -44,7 +44,7 @@ __all__ = [
 #: engine shared by every driver in this module when the caller passes none;
 #: caches of caller-owned networks are weakref-evicted, and the engine's own
 #: network cache is a bounded LRU, so holding it at module level keeps at
-#: most ``network_cache_size`` experiment graphs alive.
+#: most ``_NETWORK_CACHE_SIZE`` experiment graphs alive.
 _SHARED_ENGINE = SimulationEngine()
 
 

@@ -3,10 +3,10 @@
 The measurable content of Theorem 1 / Theorem 2 is a scaling shape:
 certificate sizes of the planarity scheme must grow like ``c * log2(n)``
 (upper bound), while every locally checkable proof needs
-``Omega(log n)`` bits (lower bound) and the universal baseline pays
-``Theta(n log n)``.  The helpers here perform the corresponding least-squares
-fits and report the goodness of fit, so a report can state "measured
-max certificate size = a*log2(n) + b with R^2 = ..." precisely.
+``Omega(log n)`` bits (lower bound).  The helpers here perform the
+least-squares fits (``log2(n)`` for certificate sizes, ``1/p`` for the
+dMAM soundness error) and report the goodness of fit, so a report can state
+"measured max certificate size = a*log2(n) + b with R^2 = ..." precisely.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ScalingFit", "fit_log_scaling", "fit_nlog_scaling",
-           "fit_inverse_scaling"]
+__all__ = ["ScalingFit", "fit_log_scaling", "fit_inverse_scaling"]
 
 
 @dataclass(frozen=True)
@@ -29,12 +28,7 @@ class ScalingFit:
 
     def predict(self, n: int) -> float:
         """Return the fitted value at ``n``."""
-        if self.basis == "log2(n)":
-            value = math.log2(n)
-        elif self.basis == "1/p":
-            value = 1.0 / n
-        else:
-            value = n * math.log2(n)
+        value = math.log2(n) if self.basis == "log2(n)" else 1.0 / n
         return self.slope * value + self.intercept
 
 
@@ -59,13 +53,6 @@ def fit_log_scaling(sizes: list[int], bits: list[float]) -> ScalingFit:
     xs = [math.log2(n) for n in sizes]
     slope, intercept, r_squared = _least_squares(xs, list(bits))
     return ScalingFit(basis="log2(n)", slope=slope, intercept=intercept, r_squared=r_squared)
-
-
-def fit_nlog_scaling(sizes: list[int], bits: list[float]) -> ScalingFit:
-    """Fit ``bits ~ slope * n log2(n) + intercept`` (the universal-scheme shape)."""
-    xs = [n * math.log2(n) for n in sizes]
-    slope, intercept, r_squared = _least_squares(xs, list(bits))
-    return ScalingFit(basis="n*log2(n)", slope=slope, intercept=intercept, r_squared=r_squared)
 
 
 def fit_inverse_scaling(primes: list[int], errors: list[float]) -> ScalingFit:

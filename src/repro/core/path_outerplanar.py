@@ -26,7 +26,6 @@ __all__ = [
     "intervals_cross",
     "find_crossing_pair",
     "is_path_outerplanar_witness",
-    "is_path_outerplanar",
     "find_path_outerplanar_witness",
     "compute_covering_intervals",
     "random_path_outerplanar_graph",
@@ -81,24 +80,6 @@ def is_path_outerplanar_witness(graph: Graph, order: list[Node]) -> bool:
     rank = {node: index + 1 for index, node in enumerate(order)}
     chords = [(rank[u], rank[v]) for u, v in graph.edges()]
     return find_crossing_pair(chords) is None
-
-
-def is_path_outerplanar(graph: Graph, max_exact_nodes: int = 9) -> bool:
-    """Decide path-outerplanarity, exactly for small graphs.
-
-    The decision problem contains Hamiltonian path, so only small graphs are
-    decided exactly (by enumeration of vertex orders); larger graphs raise
-    unless one of the cheap heuristics finds a witness.
-    """
-    witness = find_path_outerplanar_witness(graph, max_exact_nodes=max_exact_nodes,
-                                            raise_on_failure=False)
-    if witness is not None:
-        return True
-    if graph.number_of_nodes() <= max_exact_nodes:
-        return False
-    raise GraphError(
-        "graph too large for the exact path-outerplanarity decision; "
-        "supply a witness explicitly")
 
 
 def find_path_outerplanar_witness(graph: Graph, max_exact_nodes: int = 9,

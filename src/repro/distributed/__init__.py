@@ -1,4 +1,4 @@
-"""Distributed-verification substrate: networks, views, schemes, simulators."""
+"""Distributed-verification substrate: networks, views, schemes, runtimes."""
 
 from repro.distributed.certificates import BitReader, BitWriter, Encodable, encoded_size_bits
 from repro.distributed.network import LocalView, Network
@@ -6,10 +6,8 @@ from repro.distributed.scheme import ProofLabelingScheme, SchemeDescription
 from repro.distributed.verifier import (
     VerificationResult,
     certify_and_verify,
-    completeness_holds,
     run_verification,
 )
-from repro.distributed.congest import SynchronousSimulator
 from repro.distributed.engine import (
     BACKENDS,
     InteractiveSoundnessEstimate,
@@ -37,9 +35,7 @@ __all__ = [
     "SchemeDescription",
     "VerificationResult",
     "certify_and_verify",
-    "completeness_holds",
     "run_verification",
-    "SynchronousSimulator",
     "BACKENDS",
     "SimulationEngine",
     "NodeStructure",

@@ -27,14 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import CertificateError
 
-__all__ = ["BitWriter", "BitReader", "Encodable", "encoded_size_bits", "uint_bit_length"]
-
-
-def uint_bit_length(value: int) -> int:
-    """Return the number of bits in the binary representation of ``value`` (>= 1)."""
-    if value < 0:
-        raise CertificateError("uint_bit_length expects a non-negative integer")
-    return max(1, value.bit_length())
+__all__ = ["BitWriter", "BitReader", "Encodable", "encoded_size_bits"]
 
 
 @dataclass

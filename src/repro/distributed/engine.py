@@ -148,6 +148,21 @@ _LOCAL_BALL_DIVISOR = 8
 #: planarity kernel's visibility join) declare a smaller budget.
 _DEFAULT_BATCH_NODE_BUDGET = 1 << 16
 
+#: networks :meth:`SimulationEngine.network_for` keeps alive.  A cached
+#: network pins its graph, so the cache is a bounded LRU rather than
+#: weakref-evicted; evicting a network also drops its per-network record.
+_NETWORK_CACHE_SIZE = 32
+
+#: node count from which the per-node view paths *stream* instead of
+#: caching: every reference pass (``verify``, ``count_accepting``, both
+#: interactive rounds and ``interactive_prepared``) and every re-decide of a
+#: kernel's flagged nodes consume :func:`~repro.distributed.views.iter_structures`
+#: / :func:`~repro.distributed.views.structure_at` rather than the cached
+#: whole-graph structure list, so a million-node verification never holds
+#: every node's ball graph at once.  Below it the cached list stays strictly
+#: better (sweeps revisit it per trial).
+_STREAM_NODE_THRESHOLD = 1 << 17
+
 
 def derive_seed(seed: int | None, index: int) -> int | None:
     """Derive a deterministic per-trial seed from a root seed and a trial index."""
@@ -375,11 +390,6 @@ class SimulationEngine:
     seed:
         Root seed from which per-trial seeds are derived (see
         :func:`derive_seed`); ``None`` leaves trial seeding to the caller.
-    network_cache_size:
-        Maximum number of networks kept alive by :meth:`network_for`.  A
-        cached network necessarily pins its graph, so this cache is a
-        bounded LRU rather than weakref-evicted; evicting a network also
-        drops its structural, prover, and size caches.
     backend:
         Default verification backend of :meth:`verify` and
         :meth:`count_accepting` — ``"reference"`` (the per-node loop) or
@@ -391,34 +401,18 @@ class SimulationEngine:
         a ``kernel_for(scheme)`` method, normally a
         :class:`~repro.distributed.registry.SchemeRegistry`); ``None`` uses
         :func:`~repro.distributed.registry.default_registry`.
-    stream_node_threshold:
-        Node count from which the per-node view paths *stream* instead of
-        caching: every reference pass (:meth:`verify`,
-        :meth:`count_accepting`, both interactive rounds and
-        :meth:`interactive_prepared`) and every re-decide of a kernel's
-        flagged nodes consume :func:`~repro.distributed.views.iter_structures`
-        / :func:`~repro.distributed.views.structure_at` rather than the
-        cached whole-graph structure list, so a million-node verification
-        never holds every node's ball graph at once.  Below the threshold
-        the cached list stays strictly better (sweeps revisit it per trial).
     """
 
     def __init__(self, workers: int = 1, seed: int | None = None,
-                 network_cache_size: int = 32, backend: str = "reference",
-                 kernel_registry: Any = None,
-                 stream_node_threshold: int = 1 << 17) -> None:
+                 backend: str = "reference", kernel_registry: Any = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if network_cache_size < 1:
-            raise ValueError("network_cache_size must be >= 1")
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
         self.workers = workers
         self.seed = seed
-        self.network_cache_size = network_cache_size
         self.backend = backend
         self.kernel_registry = kernel_registry
-        self.stream_node_threshold = stream_node_threshold
         # per-engine metrics; backs the backend_counters compatibility view
         # (the alias below shares the registry's counter dict, so the hot
         # increment sites stay plain dict operations)
@@ -483,7 +477,7 @@ class SimulationEngine:
                     ids: dict[Node, int] | None = None) -> Network:
         """Return a :class:`Network` over ``graph`` (cached when ``ids`` is None).
 
-        The cache is a bounded LRU (``network_cache_size`` entries): a cached
+        The cache is a bounded LRU (``_NETWORK_CACHE_SIZE`` entries): a cached
         network keeps its graph alive, so unbounded weakref caching would pin
         every graph ever passed in.  Evicting a network drops its dependent
         structural/prover/size caches as well.
@@ -508,7 +502,7 @@ class SimulationEngine:
                 return network
         network = Network(graph, seed=seed)
         self._networks[key] = (graph._version, network)
-        if len(self._networks) > self.network_cache_size:
+        if len(self._networks) > _NETWORK_CACHE_SIZE:
             _, (_, evicted) = self._networks.popitem(last=False)
             self._drop_network(id(evicted))
         return network
@@ -531,12 +525,12 @@ class SimulationEngine:
                         ) -> Iterable[NodeStructure]:
         """Structures of the nodes at indices ``nodes`` (all when ``None``).
 
-        Below ``stream_node_threshold`` nodes they come from the cached
+        Below ``_STREAM_NODE_THRESHOLD`` nodes they come from the cached
         whole-network list; from the threshold on they are built on demand
         (:func:`iter_structures` / :func:`structure_at`), so no whole-network
         list is materialised or cached.
         """
-        if network.size < self.stream_node_threshold:
+        if network.size < _STREAM_NODE_THRESHOLD:
             structures = self.structures(network, radius)
             return structures if nodes is None else [structures[i] for i in nodes]
         if nodes is None:
@@ -861,7 +855,7 @@ class SimulationEngine:
         ``reference_nodes`` and timed in a ``reference_loop`` span; a
         sequence of node indices re-decides just those nodes (a kernel's
         flagged nodes, or the ball of a local decide), counted and timed by
-        the caller.  Structures stream above ``stream_node_threshold``
+        the caller.  Structures stream above ``_STREAM_NODE_THRESHOLD``
         (:meth:`_structures_for`).
         """
         structures = self._structures_for(network, radius, nodes)
@@ -874,7 +868,7 @@ class SimulationEngine:
             if sp:
                 sp.set(scheme=name, nodes=network.size,
                        network=self._fingerprint(network),
-                       streamed=network.size >= self.stream_node_threshold)
+                       streamed=network.size >= _STREAM_NODE_THRESHOLD)
             return [bool(decide(i, s)) for i, s in enumerate(structures)]
 
     def _pls_decide(self, scheme: ProofLabelingScheme,

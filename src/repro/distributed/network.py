@@ -15,7 +15,7 @@ most ``radius`` (``radius = 1`` for proof-labeling schemes).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import GraphError
@@ -84,9 +84,9 @@ class Network:
         The underlying connected simple graph.
     ids:
         Optional explicit mapping ``node -> identifier``.  When omitted,
-        identifiers are assigned as a random permutation of a range of size
-        ``id_range_factor * n`` (default: ``n^2`` capped below at ``2n``),
-        mimicking the "polynomial range" assumption of the model.
+        identifiers are ``n`` distinct values drawn at random from
+        ``range(max(2n, n^2))``, mimicking the "polynomial range" assumption
+        of the model.
     seed:
         Seed for the random identifier assignment.
     rng:
@@ -97,16 +97,14 @@ class Network:
     """
 
     def __init__(self, graph: Graph, ids: dict[Node, int] | None = None,
-                 seed: int | None = None, id_space: int | None = None,
-                 rng: random.Random | None = None) -> None:
+                 seed: int | None = None, rng: random.Random | None = None) -> None:
         require_connected(graph, context="building a Network")
         self.graph = graph
         n = graph.number_of_nodes()
         if ids is None:
             if rng is None:
                 rng = random.Random(seed)
-            space = id_space if id_space is not None else max(2 * n, n * n)
-            chosen = rng.sample(range(space), n)
+            chosen = rng.sample(range(max(2 * n, n * n)), n)
             ids = {node: chosen[index] for index, node in enumerate(graph.nodes())}
         self._id_of: dict[Node, int] = dict(ids)
         self._validate_ids()

@@ -96,7 +96,6 @@ __all__ = [
     "export_network",
     "attach_network",
     "resolve_spec",
-    "active_segments",
 ]
 
 
@@ -116,17 +115,6 @@ class _Segment:
 #: array views exist, and what the refcount assertions of the lifecycle
 #: tests read.
 _segments: dict[str, _Segment] = {}
-
-
-def active_segments() -> dict[str, int]:
-    """Map of segment name -> current refcount for this process.
-
-    Creator segments appear from export (refcount 0 until attached);
-    attacher segments appear on first attach and disappear when their
-    refcount returns to zero.  The lifecycle tests assert this is empty
-    (or back to creators-only) after an exception.
-    """
-    return {name: seg.refcount for name, seg in _segments.items()}
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from typing import Any
 from repro.distributed.certificates import encoded_size_bits
 from repro.distributed.network import Network
 from repro.distributed.scheme import ProofLabelingScheme
-from repro.exceptions import NotInClassError
 from repro.graphs.graph import Graph, Node
 
 __all__ = ["VerificationResult", "run_verification", "certify_and_verify", "certificate_statistics"]
@@ -127,12 +126,3 @@ def certify_and_verify(scheme: ProofLabelingScheme, graph: Graph,
     certificates = scheme.prove(network)
     result = run_verification(scheme, network, certificates)
     return result
-
-
-def completeness_holds(scheme: ProofLabelingScheme, graph: Graph,
-                       seed: int | None = None) -> bool:
-    """Check completeness on one *yes*-instance (honest prover then unanimous accept)."""
-    try:
-        return certify_and_verify(scheme, graph, seed=seed).accepted
-    except NotInClassError:
-        return False

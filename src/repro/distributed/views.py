@@ -1,13 +1,13 @@
 """Batched materialisation of certificate-independent view structure.
 
-Every runtime in this library — the PLS verification round, the dMAM
-interactive protocols, the CONGEST simulator — hands nodes the same kind of
-local information: the node's identifier, its sorted neighbor identifiers,
-and (for verifiers) the radius-``t`` ball it is allowed to inspect.  The
-reference implementation, :meth:`~repro.distributed.network.Network.local_view`,
-rebuilds that structure one node at a time, which is the right shape for
-explaining the model but wasteful when the same network is executed many
-times (per trial, per challenge draw, per sweep point).
+Every runtime in this library — the PLS verification round and the dMAM
+interactive protocols — hands nodes the same kind of local information: the
+node's identifier, its sorted neighbor identifiers, and (for verifiers) the
+radius-``t`` ball it is allowed to inspect.  The reference implementation,
+:meth:`~repro.distributed.network.Network.local_view`, rebuilds that
+structure one node at a time, which is the right shape for explaining the
+model but wasteful when the same network is executed many times (per trial,
+per challenge draw, per sweep point).
 
 This module is the shared *view layer*: :func:`materialize_structures` builds
 every node's :class:`NodeStructure` in one pass over the network's compiled
@@ -16,9 +16,9 @@ one cached structure plus a certificate assignment into the
 :class:`~repro.distributed.network.LocalView` the verifier sees.  The
 :class:`~repro.distributed.engine.SimulationEngine` caches the structure
 lists per ``(network, radius)`` and layers prover/decision caches on top;
-the interactive runtime and the CONGEST simulator consume the same
-structures, so no runtime pays the per-node ``local_view`` / ``node_of``
-rebuild cost more than once per network.
+the interactive runtime consumes the same structures, so no runtime pays the
+per-node ``local_view`` / ``node_of`` rebuild cost more than once per
+network.
 
 Sharing contract
 ----------------

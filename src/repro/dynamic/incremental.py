@@ -74,15 +74,12 @@ class DynamicAuditor:
         A proof-labeling scheme with a repairer registered in
         :func:`~repro.dynamic.repair.repairer_for` (``tree-pls`` /
         ``planarity-pls``).
-    repairer:
-        Override the repairer (mainly for tests); defaults to
-        ``repairer_for(scheme)``.
     """
 
-    def __init__(self, network: Any, scheme: Any, repairer: Any = None) -> None:
+    def __init__(self, network: Any, scheme: Any) -> None:
         self.network = network
         self.scheme = scheme
-        self.repairer = repairer if repairer is not None else repairer_for(scheme)
+        self.repairer = repairer_for(scheme)
         if self.repairer is None:
             raise ValueError(
                 f"no certificate repairer is registered for {scheme.name!r}")

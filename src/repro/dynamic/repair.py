@@ -430,7 +430,9 @@ class PlanarityRepairer:
     def __init__(self, scheme: PlanarityScheme) -> None:
         self.scheme = scheme
         self._state: _TourState | None = None
-        self._state_id: int | None = None
+        # the assignment ``_state`` describes, held so its id() is never
+        # recycled for a different dict while the state is cached
+        self._committed: dict[Node, Any] | None = None
 
     def repair(self, network: Any, certificates: dict[Node, Any],
                deltas: Iterable[GraphDelta] | None) -> RepairResult:
@@ -469,21 +471,21 @@ class PlanarityRepairer:
         """The cached tour state, rebuilt when the assignment is unfamiliar.
 
         Identity of the certificates dict is the staleness signal: committed
-        repairs update the state in place and re-stamp the new dict, while a
-        fallback re-prove (or a foreign caller) presents an unknown dict and
+        repairs update the state in place and hold the new dict, while a
+        fallback re-prove (or a foreign caller) presents another dict and
         triggers one full O(n + m) recovery scan.
         """
-        if self._state is not None and self._state_id == id(certificates):
+        if self._state is not None and certificates is self._committed:
             return self._state
         state = _TourState.from_certificates(network, certificates)
         self._state = state
-        self._state_id = id(certificates) if state is not None else None
+        self._committed = certificates if state is not None else None
         return state
 
     def _full(self, network: Any, certificates: dict[Node, Any],
               reason: str) -> RepairResult:
         self._state = None
-        self._state_id = None
+        self._committed = None
         graph = network.graph
         if not graph.is_connected():
             return RepairResult(certificates, member=False, reason=reason)
@@ -584,7 +586,7 @@ class PlanarityRepairer:
             state.chords.add(new_chord)
         state.intervals = new_intervals
         self._state = state
-        self._state_id = id(repaired)
+        self._committed = repaired
         return RepairResult(repaired, changed=changed)
 
     # ------------------------------------------------------------------

@@ -43,9 +43,5 @@ class EmbeddingError(ReproError):
     """A combinatorial embedding is inconsistent or cannot be constructed."""
 
 
-class ProtocolError(ReproError):
-    """An interactive protocol was driven in an invalid order."""
-
-
 class RegistryError(ReproError):
     """A scheme-registry operation failed (unknown name, duplicate registration)."""

@@ -10,7 +10,7 @@ from repro.graphs.spanning_tree import (
     dfs_spanning_tree,
 )
 from repro.graphs.planarity import compute_planar_embedding, is_planar
-from repro.graphs.degeneracy import assign_edges_by_degeneracy, degeneracy, degeneracy_ordering
+from repro.graphs.degeneracy import assign_edges_by_degeneracy, degeneracy_ordering
 from repro.graphs.kuratowski import KuratowskiSubdivision, find_kuratowski_subdivision
 from repro.graphs.validation import is_outerplanar, is_path_graph, require_connected
 
@@ -25,7 +25,6 @@ __all__ = [
     "cotree_edges",
     "compute_planar_embedding",
     "is_planar",
-    "degeneracy",
     "degeneracy_ordering",
     "assign_edges_by_degeneracy",
     "KuratowskiSubdivision",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.graphs.graph import Graph, Node, edge_key
 
-__all__ = ["degeneracy_ordering", "degeneracy", "assign_edges_by_degeneracy"]
+__all__ = ["degeneracy_ordering", "assign_edges_by_degeneracy"]
 
 
 def degeneracy_ordering(graph: Graph) -> tuple[list[Node], int]:
@@ -49,13 +49,6 @@ def degeneracy_ordering(graph: Graph) -> tuple[list[Node], int]:
             buckets[old - 1].add(neighbor)
         pointer = max(pointer - 1, 0)
     return ordering, degeneracy_value
-
-
-def degeneracy(graph: Graph) -> int:
-    """Return the degeneracy of ``graph``."""
-    if graph.number_of_nodes() == 0:
-        return 0
-    return degeneracy_ordering(graph)[1]
 
 
 def assign_edges_by_degeneracy(graph: Graph) -> dict[Node, list[tuple[Node, Node]]]:

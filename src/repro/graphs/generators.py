@@ -12,12 +12,11 @@ import random
 from collections.abc import Sequence
 
 from repro.exceptions import GraphError
-from repro.graphs.graph import Graph, Node
+from repro.graphs.graph import Graph
 
 __all__ = [
     "path_graph",
     "cycle_graph",
-    "star_graph",
     "complete_graph",
     "complete_bipartite_graph",
     "wheel_graph",
@@ -58,13 +57,6 @@ def cycle_graph(n: int) -> Graph:
         raise GraphError("a cycle needs at least 3 nodes")
     graph = path_graph(n)
     graph.add_edge(n - 1, 0)
-    return graph
-
-
-def star_graph(n_leaves: int) -> Graph:
-    """Return the star with center ``0`` and ``n_leaves`` leaves."""
-    graph = Graph(nodes=range(n_leaves + 1))
-    graph.add_edges_from((0, i) for i in range(1, n_leaves + 1))
     return graph
 
 
@@ -181,13 +173,12 @@ def random_apollonian_network(n: int, seed: int | None = None) -> Graph:
     return graph
 
 
-def random_planar_graph(n: int, edge_keep_probability: float = 0.7,
-                        seed: int | None = None) -> Graph:
+def random_planar_graph(n: int, seed: int | None = None) -> Graph:
     """Return a random connected planar graph.
 
     A random triangulation is generated first and each non-tree edge is then
-    kept independently with probability ``edge_keep_probability``, so that
-    the result stays connected and planar but is no longer maximal.
+    kept independently with probability 0.7, so that the result stays
+    connected and planar but is no longer maximal.
     """
     if n == 1:
         return Graph(nodes=[0])
@@ -202,7 +193,7 @@ def random_planar_graph(n: int, edge_keep_probability: float = 0.7,
     for u, v in triangulation.edges():
         if tree.has_edge(u, v):
             continue
-        if rng.random() < edge_keep_probability:
+        if rng.random() < 0.7:
             graph.add_edge(u, v)
     return graph
 
@@ -260,9 +251,9 @@ def random_maximal_outerplanar_graph(n: int, seed: int | None = None) -> Graph:
     return graph
 
 
-def random_outerplanar_graph(n: int, chord_keep_probability: float = 0.6,
-                             seed: int | None = None) -> Graph:
-    """Return a random connected outerplanar graph (subset of a maximal one)."""
+def random_outerplanar_graph(n: int, seed: int | None = None) -> Graph:
+    """Return a random connected outerplanar graph: a random maximal one
+    with each chord kept independently with probability 0.6."""
     rng = random.Random(seed)
     maximal = random_maximal_outerplanar_graph(n, seed=rng.randrange(2 ** 30))
     if n < 3:
@@ -271,7 +262,7 @@ def random_outerplanar_graph(n: int, chord_keep_probability: float = 0.6,
     for u, v in maximal.edges():
         if abs(u - v) == 1:
             continue
-        if rng.random() < chord_keep_probability:
+        if rng.random() < 0.6:
             graph.add_edge(u, v)
     return graph
 

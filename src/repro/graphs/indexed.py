@@ -237,23 +237,6 @@ class IndexedGraph:
                     order.append(j)
         return order
 
-    def bfs_distances_from(self, start: int) -> list[int]:
-        """Return hop distances from ``start`` (``-1`` for unreachable nodes)."""
-        dist = [-1] * self.n
-        dist[start] = 0
-        queue = [start]
-        head = 0
-        indptr, indices = self.indptr, self.indices
-        while head < len(queue):
-            i = queue[head]
-            head += 1
-            d = dist[i] + 1
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                if dist[j] < 0:
-                    dist[j] = d
-                    queue.append(j)
-        return dist
-
     def is_connected(self) -> bool:
         """Return whether the graph is connected (the empty graph is not)."""
         if not self.labels:

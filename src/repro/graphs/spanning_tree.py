@@ -10,13 +10,11 @@ distance, subtree size) is one of the building blocks reimplemented in
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.exceptions import GraphError, NotConnectedError
 from repro.graphs.graph import Graph, Node
 from repro.graphs.traversal import bfs_parents, dfs_parents
 
-__all__ = ["RootedTree", "bfs_spanning_tree", "dfs_spanning_tree", "spanning_tree_from_parents"]
+__all__ = ["RootedTree", "bfs_spanning_tree", "dfs_spanning_tree"]
 
 
 class RootedTree:
@@ -160,15 +158,6 @@ def dfs_spanning_tree(graph: Graph, root: Node) -> RootedTree:
     if len(parents) != graph.number_of_nodes():
         raise NotConnectedError("graph is not connected; no spanning tree exists")
     return RootedTree(root, parents)
-
-
-def spanning_tree_from_parents(graph: Graph, root: Node,
-                               parents: dict[Node, Node | None]) -> RootedTree:
-    """Build a :class:`RootedTree` from explicit parent pointers and verify it spans ``graph``."""
-    tree = RootedTree(root, parents)
-    if not tree.spans(graph):
-        raise GraphError("the provided parent pointers do not define a spanning tree of the graph")
-    return tree
 
 
 def cotree_edges(graph: Graph, tree: RootedTree) -> list[tuple[Node, Node]]:

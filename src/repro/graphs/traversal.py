@@ -1,9 +1,4 @@
-"""Graph traversals used throughout the library.
-
-The planarity proof-labeling scheme of the paper is built around a specific
-depth-first traversal of a spanning tree (the *DFS-mapping* of Section 3.2),
-but the substrate also needs ordinary BFS/DFS traversals for spanning-tree
-construction, connectivity checks, and the lower-bound constructions.
+"""BFS and DFS parent maps, the substrate of spanning-tree construction.
 
 All traversals run over the graph's compiled
 :class:`~repro.graphs.indexed.IndexedGraph` view: adjacency blocks are
@@ -15,20 +10,11 @@ themselves run over contiguous integer indices.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph, Node
 from repro.graphs.indexed import IndexedGraph
 
-__all__ = [
-    "bfs_order",
-    "bfs_parents",
-    "dfs_order",
-    "dfs_parents",
-    "dfs_preorder_with_children_order",
-    "shortest_path_lengths",
-]
+__all__ = ["bfs_parents", "dfs_parents"]
 
 
 def _indexed_start(graph: Graph, start: Node) -> tuple[IndexedGraph, int]:
@@ -36,13 +22,6 @@ def _indexed_start(graph: Graph, start: Node) -> tuple[IndexedGraph, int]:
     if start not in indexed.index_of:
         raise GraphError(f"start node {start!r} is not in the graph")
     return indexed, indexed.index_of[start]
-
-
-def bfs_order(graph: Graph, start: Node) -> list[Node]:
-    """Return the breadth-first visiting order from ``start``."""
-    indexed, root = _indexed_start(graph, start)
-    labels = indexed.labels
-    return [labels[i] for i in indexed.bfs_order_from(root)]
 
 
 def bfs_parents(graph: Graph, start: Node) -> dict[Node, Node | None]:
@@ -71,26 +50,6 @@ def bfs_parents(graph: Graph, start: Node) -> dict[Node, Node | None]:
     return result
 
 
-def dfs_order(graph: Graph, start: Node) -> list[Node]:
-    """Return an iterative depth-first preorder from ``start``."""
-    indexed, root = _indexed_start(graph, start)
-    labels, indptr, indices = indexed.labels, indexed.indptr, indexed.indices
-    order: list[Node] = []
-    seen = bytearray(indexed.n)
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        if seen[i]:
-            continue
-        seen[i] = 1
-        order.append(labels[i])
-        block = indices[indptr[i]:indptr[i + 1]]
-        for j in reversed(block):
-            if not seen[j]:
-                stack.append(j)
-    return order
-
-
 def dfs_parents(graph: Graph, start: Node) -> dict[Node, Node | None]:
     """Return the DFS parent of every reachable node (``None`` for ``start``)."""
     indexed, root = _indexed_start(graph, start)
@@ -109,61 +68,3 @@ def dfs_parents(graph: Graph, start: Node) -> dict[Node, Node | None]:
             if not seen[j]:
                 stack.append((j, i))
     return parents
-
-
-def dfs_preorder_with_children_order(
-    graph: Graph,
-    start: Node,
-    child_order: Callable[[Node, Node | None, Iterable[Node]], list[Node]] | None = None,
-) -> tuple[list[Node], dict[Node, Node | None]]:
-    """DFS preorder where the visiting order of children is customisable.
-
-    ``child_order(node, parent, unvisited_neighbors)`` must return the
-    neighbors of ``node`` in the order in which the traversal should descend
-    into them.  This hook is what lets the DFS-mapping construction of the
-    paper descend into children following a planar rotation system.
-
-    Returns ``(preorder, parents)``.
-    """
-    indexed, root = _indexed_start(graph, start)
-    labels, index_of = indexed.labels, indexed.index_of
-    if child_order is None:
-        def child_order(node: Node, parent: Node | None,
-                        candidates: Iterable[Node]) -> list[Node]:
-            return sorted(candidates, key=repr)
-
-    preorder: list[Node] = []
-    parents: dict[Node, Node | None] = {start: None}
-    seen = bytearray(indexed.n)
-
-    def visit(i: int, parent: Node | None) -> None:
-        seen[i] = 1
-        node = labels[i]
-        preorder.append(node)
-        candidates = [labels[j] for j in indexed.neighbors_of(i) if not seen[j]]
-        for child in child_order(node, parent, candidates):
-            j = index_of[child]
-            if not seen[j]:
-                parents[child] = node
-                visit(j, node)
-
-    # an explicit stack is avoided for readability; recursion depth equals the
-    # tree depth, so callers handling very deep graphs should raise the
-    # interpreter recursion limit (done by the spanning-tree helpers).
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * indexed.n + 1000))
-    try:
-        visit(root, None)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return preorder, parents
-
-
-def shortest_path_lengths(graph: Graph, start: Node) -> dict[Node, int]:
-    """Return the hop distance from ``start`` to every reachable node."""
-    indexed, root = _indexed_start(graph, start)
-    labels = indexed.labels
-    dist = indexed.bfs_distances_from(root)
-    return {labels[i]: d for i, d in enumerate(dist) if d >= 0}

@@ -6,7 +6,7 @@ from repro.exceptions import NotConnectedError
 from repro.graphs.graph import Graph, Node
 from repro.graphs.planarity import is_planar
 
-__all__ = ["require_connected", "is_outerplanar", "is_path_graph", "is_simple_cycle"]
+__all__ = ["require_connected", "is_outerplanar", "is_path_graph"]
 
 
 def require_connected(graph: Graph, context: str = "operation") -> None:
@@ -51,14 +51,6 @@ def is_path_graph(graph: Graph) -> bool:
     degrees = sorted(indexed.degrees)
     return degrees[0] == 1 and degrees[1] == 1 and all(d <= 2 for d in degrees) \
         and indexed.m == n - 1
-
-
-def is_simple_cycle(graph: Graph) -> bool:
-    """Return whether ``graph`` is a single cycle."""
-    indexed = graph.indexed()
-    if indexed.n < 3 or not indexed.is_connected():
-        return False
-    return all(d == 2 for d in indexed.degrees)
 
 
 def hamiltonian_order_is_valid(graph: Graph, order: list[Node]) -> bool:

@@ -22,8 +22,6 @@ from repro.lowerbound.counting import (
     log2_number_of_paths,
     lower_bound_curve,
     minimum_certificate_bits,
-    pigeonhole_applies,
-    smallest_fooled_p,
 )
 from repro.lowerbound.indistinguishability import (
     ViewSignature,
@@ -50,8 +48,6 @@ __all__ = [
     "log2_number_of_paths",
     "lower_bound_curve",
     "minimum_certificate_bits",
-    "pigeonhole_applies",
-    "smallest_fooled_p",
     "ViewSignature",
     "all_views",
     "illegal_views_covered_by_legal",

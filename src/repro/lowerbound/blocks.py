@@ -132,18 +132,16 @@ def build_cycle_of_blocks(k: int, block_order: list[int]) -> BlockInstance:
     return BlockInstance(k=k, block_sequence=list(block_order), graph=graph, is_cycle=True)
 
 
-def clique_minor_model_in_cycle(instance: BlockInstance,
-                                chosen_block: int | None = None) -> list[set[int]]:
+def clique_minor_model_in_cycle(instance: BlockInstance) -> list[set[int]]:
     """Return the explicit ``K_k`` minor model of Claim 8 for a cycle of blocks.
 
-    The ``k - 1`` nodes of one block are kept as singleton branch sets and
-    the rest of the cycle (which stays connected) is contracted into the
-    ``k``-th branch set.
+    The ``k - 1`` nodes of the cycle's first block are kept as singleton
+    branch sets and the rest of the cycle (which stays connected) is
+    contracted into the ``k``-th branch set.
     """
     if not instance.is_cycle:
         raise GraphError("the explicit clique minor model only exists in cycles of blocks")
-    block = chosen_block if chosen_block is not None else instance.block_sequence[0]
-    block_nodes = set(instance.nodes_of_block(block))
+    block_nodes = set(instance.nodes_of_block(instance.block_sequence[0]))
     rest = set(instance.graph.nodes()) - block_nodes
     branch_sets: list[set[int]] = [{node} for node in sorted(block_nodes)]
     branch_sets.append(rest)

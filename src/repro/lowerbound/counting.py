@@ -21,9 +21,7 @@ from dataclasses import dataclass
 __all__ = [
     "log2_number_of_paths",
     "log2_number_of_labelings",
-    "pigeonhole_applies",
     "minimum_certificate_bits",
-    "smallest_fooled_p",
     "LowerBoundPoint",
     "lower_bound_curve",
 ]
@@ -39,15 +37,6 @@ def log2_number_of_labelings(k: int, p: int, bits: int) -> float:
     return (k - 1) * bits * p
 
 
-def pigeonhole_applies(k: int, p: int, bits: int) -> bool:
-    """Return whether ``bits``-bit certificates are too small for ``p`` ordinary blocks.
-
-    When ``True``, two distinct paths of blocks necessarily receive identical
-    labelled blocks, so the splice of Lemma 5 fools the verifier.
-    """
-    return log2_number_of_paths(p) > log2_number_of_labelings(k, p, bits)
-
-
 def minimum_certificate_bits(k: int, p: int) -> int:
     """Return the smallest per-node certificate size that escapes the pigeonhole.
 
@@ -57,18 +46,6 @@ def minimum_certificate_bits(k: int, p: int) -> int:
     if p <= 1:
         return 0
     return math.ceil(log2_number_of_paths(p) / ((k - 1) * p))
-
-
-def smallest_fooled_p(k: int, bits: int, p_limit: int = 10 ** 7) -> int | None:
-    """Return the smallest ``p`` for which ``bits``-bit certificates are fooled.
-
-    Returns ``None`` when no ``p`` up to ``p_limit`` is fooled (i.e. the
-    certificate size is large enough for every instance size probed).
-    """
-    for p in range(2, p_limit + 1):
-        if pigeonhole_applies(k, p, bits):
-            return p
-    return None
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,16 @@ Typical use::
     write_span_log(tracer, "spans.jsonl")   # scripts/trace_report.py reads this
 
 See docs/OBSERVABILITY.md for the span taxonomy, the attribute schema,
-and the exporter formats.
+and the span-log format.
 """
 from .metrics import BUCKET_BOUNDS, MetricsRegistry, TimingStat
 from .tracer import (NULL_SPAN, Span, Tracer, current, install,
                      start_tracing, stop_tracing)
-from .export import (chrome_trace, self_times, span_records, summary_table,
-                     trace_summary_record, write_chrome_trace, write_span_log)
+from .export import self_times, trace_summary_record, write_span_log
 
 __all__ = [
     "BUCKET_BOUNDS", "MetricsRegistry", "TimingStat",
     "NULL_SPAN", "Span", "Tracer",
     "current", "install", "start_tracing", "stop_tracing",
-    "chrome_trace", "self_times", "span_records", "summary_table",
-    "trace_summary_record", "write_chrome_trace", "write_span_log",
+    "self_times", "trace_summary_record", "write_span_log",
 ]

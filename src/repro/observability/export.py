@@ -1,19 +1,11 @@
-"""Exporters for a :class:`~repro.observability.tracer.Tracer`.
+"""Exporter for a :class:`~repro.observability.tracer.Tracer`.
 
-Three formats, one source of truth (the tracer's span list + metrics):
-
-* :func:`write_span_log` -- JSON lines, one span per line, closed by a
-  ``trace_summary`` trailer record carrying the span/unclosed/dropped
-  counts and the full metrics snapshot.  This is the interchange format
-  read by ``scripts/trace_report.py`` and the CI smoke leg.
-* :func:`chrome_trace` / :func:`write_chrome_trace` -- the Chrome
-  ``trace_event`` JSON array format (open in ``chrome://tracing`` or
-  Perfetto).  Spans become complete ("X") events; worker-absorbed spans
-  land on their own ``tid`` track since each process has its own clock
-  epoch.
-* :func:`summary_table` -- a human-readable per-name aggregation
-  (count, total, self-time) for quick terminal inspection; the same
-  numbers ``trace_report.py`` prints from a span log.
+:func:`write_span_log` writes JSON lines, one span per line, closed by a
+``trace_summary`` trailer record carrying the span/unclosed/dropped counts
+and the full metrics snapshot.  This is the interchange format read by
+``scripts/trace_report.py`` and the CI smoke legs, which also print the
+per-name aggregation (count, total, self-time) that :func:`self_times`
+computes in-process.
 """
 from __future__ import annotations
 
@@ -23,15 +15,7 @@ from typing import Any, Iterable, TextIO
 from .metrics import peak_rss_bytes
 from .tracer import Span, Tracer
 
-__all__ = [
-    "span_records", "trace_summary_record", "write_span_log",
-    "chrome_trace", "write_chrome_trace",
-    "self_times", "summary_table",
-]
-
-
-def span_records(tracer: Tracer) -> list[dict[str, Any]]:
-    return [span.to_dict() for span in tracer.spans]
+__all__ = ["trace_summary_record", "write_span_log", "self_times"]
 
 
 def trace_summary_record(tracer: Tracer) -> dict[str, Any]:
@@ -68,33 +52,6 @@ def write_span_log(tracer: Tracer, target: str | TextIO) -> None:
         _write(target)
 
 
-def chrome_trace(tracer: Tracer) -> dict[str, Any]:
-    """Chrome ``trace_event`` payload (timestamps in microseconds)."""
-    events: list[dict[str, Any]] = []
-    for span in tracer.spans:
-        event: dict[str, Any] = {
-            "name": span.name,
-            "ph": "X",
-            "ts": span.start * 1e6,
-            "dur": span.duration * 1e6,
-            "pid": 0,
-            "tid": 0 if span.worker is None else span.worker + 1,
-        }
-        if span.attributes:
-            event["args"] = span.attributes
-        events.append(event)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(tracer: Tracer, target: str | TextIO) -> None:
-    payload = chrome_trace(tracer)
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-    else:
-        json.dump(payload, target)
-
-
 def self_times(spans: Iterable[Span]) -> dict[int, float]:
     """Self-time (duration minus directly-nested child time) per span id.
 
@@ -111,26 +68,3 @@ def self_times(spans: Iterable[Span]) -> dict[int, float]:
         span.span_id: max(0.0, span.duration - child_time.get(span.span_id, 0.0))
         for span in spans
     }
-
-
-def summary_table(tracer: Tracer, limit: int = 20) -> str:
-    """Per-name aggregate table sorted by self-time, widest phase first."""
-    selfs = self_times(tracer.spans)
-    rows: dict[str, list[float]] = {}
-    for span in tracer.spans:
-        row = rows.setdefault(span.name, [0, 0.0, 0.0])
-        row[0] += 1
-        row[1] += span.duration
-        row[2] += selfs.get(span.span_id, 0.0)
-    ordered = sorted(rows.items(), key=lambda item: item[1][2], reverse=True)
-    lines = [f"{'span':<44} {'count':>7} {'total ms':>10} {'self ms':>10}"]
-    lines.append("-" * len(lines[0]))
-    for name, (count, total, self_total) in ordered[:limit]:
-        lines.append(f"{name:<44} {count:>7d} {total * 1e3:>10.3f} "
-                     f"{self_total * 1e3:>10.3f}")
-    if len(ordered) > limit:
-        lines.append(f"... {len(ordered) - limit} more span names")
-    if tracer.dropped_spans:
-        lines.append(f"(dropped {tracer.dropped_spans} spans past "
-                     f"max_spans={tracer.max_spans})")
-    return "\n".join(lines)

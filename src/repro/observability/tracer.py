@@ -204,7 +204,7 @@ class Tracer:
         they stay unique; parent links inside the worker trace are
         preserved.  Worker metrics merge exactly.  Worker timestamps are
         kept as-is (each process has its own ``perf_counter`` epoch) --
-        the exporters separate workers by track instead of realigning
+        absorbed spans carry their ``worker`` index instead of realigned
         clocks.
         """
         spans = payload.get("spans", ())

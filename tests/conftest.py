@@ -36,7 +36,6 @@ from repro.graphs.generators import (
     random_outerplanar_graph,
     random_planar_graph,
     random_tree,
-    star_graph,
     wheel_graph,
 )
 
@@ -48,7 +47,7 @@ def planar_instances() -> list[tuple[str, object]]:
         ("single-node", path_graph(1)),
         ("two-nodes", path_graph(2)),
         ("cycle-9", cycle_graph(9)),
-        ("star-7", star_graph(7)),
+        ("star-7", complete_bipartite_graph(1, 7)),
         ("tree-25", random_tree(25, seed=3)),
         ("grid-5x6", grid_graph(5, 6)),
         ("ladder-8", ladder_graph(8)),

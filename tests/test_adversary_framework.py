@@ -105,6 +105,12 @@ class TestStrategies:
             assert first[node] == second[node] or \
                 repr(first[node]) == repr(second[node])
 
+    def test_zero_rounds_return_a_fresh_copy(self):
+        """``rounds=0`` corrupts nothing but still returns a fresh dict."""
+        _, _, network, honest = _honest("planarity-pls")
+        result = RandomCorruption(rounds=0).corrupt(network, honest, random.Random(0))
+        assert result == honest and result is not honest
+
     @pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
     def test_every_strategy_changes_something(self, strategy_name):
         """On the planarity scheme each strategy finds something to forge."""

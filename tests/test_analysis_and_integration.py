@@ -24,7 +24,7 @@ from repro.analysis.experiments import (
     soundness_experiment,
     upper_vs_lower_bound_table,
 )
-from repro.analysis.fitting import fit_log_scaling, fit_nlog_scaling
+from repro.analysis.fitting import fit_inverse_scaling, fit_log_scaling
 from repro.analysis.tables import format_table, print_table
 from repro.baselines.universal import UniversalPlanarityScheme
 from repro.core.planarity_scheme import PlanarityScheme
@@ -42,12 +42,15 @@ class TestFitting:
         assert fit.r_squared > 0.999
         assert abs(fit.predict(1024) - (50 * 10 + 20)) < 1e-6
 
-    def test_nlog_fit(self):
-        sizes = [16, 32, 64, 128]
-        bits = [3 * n * math.log2(n) for n in sizes]
-        fit = fit_nlog_scaling(sizes, bits)
-        assert abs(fit.slope - 3) < 1e-6
+    def test_inverse_fit_recovers_synthetic_constants(self):
+        primes = [101, 211, 401, 809, 1601]
+        errors = [3 / p + 0.01 for p in primes]
+        fit = fit_inverse_scaling(primes, errors)
+        assert fit.basis == "1/p"
+        assert abs(fit.slope - 3) < 1e-9
+        assert abs(fit.intercept - 0.01) < 1e-9
         assert fit.r_squared > 0.999
+        assert abs(fit.predict(3203) - (3 / 3203 + 0.01)) < 1e-12
 
     def test_degenerate_fit(self):
         fit = fit_log_scaling([10], [100])

@@ -20,11 +20,11 @@ from repro.distributed.network import Network
 from repro.distributed.verifier import certify_and_verify, run_verification
 from repro.exceptions import NotInClassError
 from repro.graphs.generators import (
+    complete_bipartite_graph,
     cycle_graph,
     grid_graph,
     path_graph,
     random_tree,
-    star_graph,
 )
 from repro.graphs.spanning_tree import bfs_spanning_tree
 
@@ -163,7 +163,7 @@ class TestPathGraphScheme:
         with pytest.raises(NotInClassError):
             certify_and_verify(PathGraphScheme(), cycle_graph(5), seed=1)
         with pytest.raises(NotInClassError):
-            certify_and_verify(PathGraphScheme(), star_graph(3), seed=1)
+            certify_and_verify(PathGraphScheme(), complete_bipartite_graph(1, 3), seed=1)
 
     def test_soundness_on_cycle(self):
         """Transplanting path certificates onto a cycle must fail somewhere."""
@@ -179,7 +179,7 @@ class TestPathGraphScheme:
 
     def test_soundness_on_star(self):
         scheme = PathGraphScheme()
-        star = star_graph(3)
+        star = complete_bipartite_graph(1, 3)
         network = Network(star, seed=8)
         labels = hamiltonian_path_labels(network, [1, 0, 2, 3])  # not a real path order
         result = run_verification(scheme, network, labels)

@@ -17,7 +17,6 @@ from repro.graphs.generators import (
     random_apollonian_network,
     random_planar_graph,
     random_tree,
-    star_graph,
     wheel_graph,
 )
 from repro.graphs.graph import Graph

@@ -22,7 +22,7 @@ from repro.core.planarity_scheme import CotreeEdgeCertificate, PlanarityScheme
 from repro.distributed.engine import SimulationEngine
 from repro.distributed.network import Network
 from repro.dynamic import DynamicAuditor
-from repro.dynamic.repair import SpanningTreeRepairer, repairer_for
+from repro.dynamic.repair import PlanarityRepairer, SpanningTreeRepairer, repairer_for
 from repro.graphs.generators import delaunay_planar_graph, random_tree
 from repro.graphs.graph import (Graph, JOURNAL_LIMIT, PATCH_DELTA_LIMIT)
 from repro.graphs.indexed import IndexedGraph
@@ -31,8 +31,13 @@ from repro.observability.tracer import start_tracing, stop_tracing
 
 
 def cotree_pairs(auditor: DynamicAuditor) -> list[tuple[int, int]]:
+    return chord_ids(auditor.certificates)
+
+
+def chord_ids(certificates: dict) -> list[tuple[int, int]]:
+    """Identifier pairs of the cotree edges a planarity assignment certifies."""
     chords = set()
-    for certificate in auditor.certificates.values():
+    for certificate in certificates.values():
         for ec in certificate.edge_certificates:
             if isinstance(ec, CotreeEdgeCertificate):
                 chords.add(tuple(sorted((ec.a_id, ec.b_id))))
@@ -201,6 +206,49 @@ class TestDynamicAuditorPlanarity:
         assert report.fallback and report.reason == "journal_truncated"
         assert report.redecided == network.size
         assert auditor.decisions == reference_decisions(auditor)
+
+
+class TestRepairerStateIdentity:
+    """The repairer's cached tour state belongs to the dict it committed:
+    once that dict is freed, CPython may allocate the next dict at the same
+    address, and a state keyed by ``id()`` would then describe the wrong
+    assignment."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_repairs_after_a_dropped_result_equal_a_fresh_repairers(self, seed):
+        network = Network(delaunay_planar_graph(120, seed=seed), seed=seed)
+        graph = network.graph
+        scheme = PlanarityScheme()
+        honest = scheme.prove(network)
+        chords = [(network.node_of(a), network.node_of(b))
+                  for a, b in chord_ids(honest)]
+        repairer = PlanarityRepairer(scheme)
+        rng = random.Random(seed)
+
+        def remove(edge):
+            version = graph._version
+            graph.remove_edge(*edge)
+            return graph.deltas_since(version)
+
+        def outcome(result):
+            return (result.certificates, result.changed, result.fallback,
+                    result.member, result.reason)
+
+        for _ in range(60):
+            first = rng.choice(chords)
+            # a chord near the first, so a stale state's intervals differ
+            near = set(first).union(*(graph.neighbors(node) for node in first))
+            second = rng.choice([chord for chord in chords
+                                 if chord != first and near.intersection(chord)])
+            committed = repairer.repair(network, honest, remove(first))
+            assert not committed.fallback
+            graph.add_edge(*first)
+            deltas = remove(second)
+            del committed  # frees the committed dict's address
+            got = repairer.repair(network, dict(honest), deltas)
+            want = PlanarityRepairer(scheme).repair(network, dict(honest), deltas)
+            assert outcome(got) == outcome(want)
+            graph.add_edge(*second)
 
 
 class TestDynamicAuditorTree:

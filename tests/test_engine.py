@@ -8,6 +8,7 @@ import pytest
 
 from repro.adversary.attacks import random_certificate_attack, transplant_attack
 from repro.core.path_outerplanar import random_path_outerplanar_graph
+from repro.distributed import engine as engine_module
 from repro.distributed.engine import SimulationEngine, derive_seed
 from repro.distributed.network import LocalView, Network
 from repro.distributed.registry import default_registry
@@ -201,11 +202,12 @@ class TestEngineCaches:
         graph = random_tree(10, seed=7)
         assert engine.network_for(graph) is not engine.network_for(graph)
 
-    def test_network_cache_is_bounded(self):
+    def test_network_cache_is_bounded(self, monkeypatch):
         import gc
         import weakref
 
-        engine = SimulationEngine(network_cache_size=2)
+        monkeypatch.setattr(engine_module, "_NETWORK_CACHE_SIZE", 2)
+        engine = SimulationEngine()
         graphs = [random_tree(8, seed=s) for s in range(4)]
         refs = [weakref.ref(g) for g in graphs]
         for graph in graphs:
@@ -295,7 +297,7 @@ def _traced(operation):
 
 
 class TestStreamingRule:
-    """From ``stream_node_threshold`` nodes on, every per-node pass streams:
+    """From ``_STREAM_NODE_THRESHOLD`` nodes on, every per-node pass streams:
     no whole-network structure list is built (no ``view_materialize`` span),
     and the decisions equal the caching engine's."""
 
@@ -311,14 +313,15 @@ class TestStreamingRule:
         second = protocol.second_turn(network, turn, challenges)
         return protocol, dict(turn.messages), second, challenges
 
-    def test_count_paths_stream_above_threshold(self):
+    def test_count_paths_stream_above_threshold(self, monkeypatch):
         scheme, network, certificates = self._planarity()
         protocol, first, second, challenges = self._dmam_round(network)
         cached = SimulationEngine()
         expected = (cached.count_accepting(scheme, network, certificates),
                     cached.count_accepting_interactive(
                         protocol, network, first, second, challenges))
-        streaming = SimulationEngine(stream_node_threshold=1)
+        monkeypatch.setattr(engine_module, "_STREAM_NODE_THRESHOLD", 1)
+        streaming = SimulationEngine()
         counts, names, tracer = _traced(lambda: (
             streaming.count_accepting(scheme, network, certificates),
             streaming.count_accepting_interactive(
@@ -333,28 +336,30 @@ class TestStreamingRule:
         assert streaming.backend_counters["reference_calls"] == 2
         assert streaming.backend_counters["reference_nodes"] == 2 * network.size
 
-    def test_prepared_interactive_round_streams(self):
+    def test_prepared_interactive_round_streams(self, monkeypatch):
         _, network, _ = self._planarity()
         protocol, first, second, challenges = self._dmam_round(network)
         cached = SimulationEngine()
         expected = cached.count_accepting_interactive(
             protocol, network, first, second, challenges,
             prepared=cached.interactive_prepared(protocol, network, first))
-        streaming = SimulationEngine(stream_node_threshold=1)
+        monkeypatch.setattr(engine_module, "_STREAM_NODE_THRESHOLD", 1)
+        streaming = SimulationEngine()
         count, names, _ = _traced(lambda: streaming.count_accepting_interactive(
             protocol, network, first, second, challenges,
             prepared=streaming.interactive_prepared(protocol, network, first)))
         assert count == expected == network.size
         assert "view_materialize" not in names
 
-    def test_batched_flagged_node_redecide_streams(self):
+    def test_batched_flagged_node_redecide_streams(self, monkeypatch):
         items = []
         for seed in (12, 13):
             scheme, network, honest = self._planarity(seed=seed)
             corrupted = dict(honest)
             corrupted[sorted(corrupted, key=repr)[0]] = object()  # unrepresentable
             items.append((network, corrupted))
-        engine = SimulationEngine(backend="vectorized", stream_node_threshold=1)
+        monkeypatch.setattr(engine_module, "_STREAM_NODE_THRESHOLD", 1)
+        engine = SimulationEngine(backend="vectorized")
         results, names, _ = _traced(lambda: engine.verify_batch(scheme, items))
         assert "view_materialize" not in names
         for (network, certificates), result in zip(items, results):
@@ -365,13 +370,14 @@ class TestStreamingRule:
         assert counters["fallback_nodes"] > 0
         assert counters["reference_calls"] == 0
 
-    def test_round_kernel_flagged_node_redecide_streams(self):
+    def test_round_kernel_flagged_node_redecide_streams(self, monkeypatch):
         _, network, _ = self._planarity()
         protocol, first, second, challenges = self._dmam_round(network)
         second[sorted(second, key=repr)[0]] = "garbage"  # unrepresentable
         reference = SimulationEngine().count_accepting_interactive(
             protocol, network, first, second, challenges)
-        engine = SimulationEngine(backend="vectorized", stream_node_threshold=1)
+        monkeypatch.setattr(engine_module, "_STREAM_NODE_THRESHOLD", 1)
+        engine = SimulationEngine(backend="vectorized")
         count, names, _ = _traced(lambda: engine.count_accepting_interactive(
             protocol, network, first, second, challenges,
             prepared=engine.interactive_prepared(protocol, network, first)))

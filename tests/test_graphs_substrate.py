@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import EmbeddingError, GraphError, NotConnectedError
-from repro.graphs.degeneracy import assign_edges_by_degeneracy, degeneracy, degeneracy_ordering
+from repro.graphs.degeneracy import assign_edges_by_degeneracy, degeneracy_ordering
 from repro.graphs.embedding import RotationSystem
 from repro.graphs.generators import (
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     grid_graph,
     path_graph,
     random_apollonian_network,
     random_tree,
-    star_graph,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.spanning_tree import (
@@ -23,62 +23,47 @@ from repro.graphs.spanning_tree import (
     bfs_spanning_tree,
     cotree_edges,
     dfs_spanning_tree,
-    spanning_tree_from_parents,
 )
-from repro.graphs.traversal import (
-    bfs_order,
-    bfs_parents,
-    dfs_order,
-    dfs_parents,
-    dfs_preorder_with_children_order,
-    shortest_path_lengths,
-)
+from repro.graphs.traversal import bfs_parents, dfs_parents
 from repro.graphs.validation import (
     hamiltonian_order_is_valid,
     is_outerplanar,
     is_path_graph,
-    is_simple_cycle,
     require_connected,
 )
 
 
 class TestTraversal:
-    def test_bfs_order_visits_everything(self):
+    def test_bfs_parents_visit_everything(self):
         graph = grid_graph(4, 4)
-        order = bfs_order(graph, 0)
+        order = list(bfs_parents(graph, 0))
         assert len(order) == 16 and len(set(order)) == 16
         assert order[0] == 0
 
     def test_bfs_parents_give_shortest_paths(self):
+        import networkx as nx
+
         graph = cycle_graph(8)
         parents = bfs_parents(graph, 0)
-        distances = shortest_path_lengths(graph, 0)
+        distances = nx.single_source_shortest_path_length(graph.to_networkx(), 0)
         for node, parent in parents.items():
             if parent is not None:
                 assert distances[node] == distances[parent] + 1
 
-    def test_dfs_order_and_parents(self):
+    def test_dfs_parents(self):
         graph = random_tree(20, seed=1)
-        order = dfs_order(graph, 0)
         parents = dfs_parents(graph, 0)
-        assert len(order) == 20
+        assert len(parents) == 20
         assert parents[0] is None
         assert all(graph.has_edge(child, parent)
                    for child, parent in parents.items() if parent is not None)
 
-    def test_custom_child_order(self):
-        graph = star_graph(4)
-        order, parents = dfs_preorder_with_children_order(
-            graph, 0, child_order=lambda node, parent, cand: sorted(cand, reverse=True))
-        assert order == [0, 4, 3, 2, 1]
-        assert all(parents[leaf] == 0 for leaf in (1, 2, 3, 4))
-
     def test_unknown_start_raises(self):
         graph = path_graph(3)
         with pytest.raises(GraphError):
-            bfs_order(graph, 99)
+            bfs_parents(graph, 99)
         with pytest.raises(GraphError):
-            dfs_order(graph, 99)
+            dfs_parents(graph, 99)
 
 
 class TestRootedTree:
@@ -105,7 +90,7 @@ class TestRootedTree:
         assert sizes[3] == 3
 
     def test_depth_and_edges(self):
-        graph = star_graph(5)
+        graph = complete_bipartite_graph(1, 5)
         tree = bfs_spanning_tree(graph, 0)
         assert all(tree.depth(leaf) == 1 for leaf in range(1, 6))
         assert len(tree.edges()) == 5
@@ -114,9 +99,8 @@ class TestRootedTree:
     def test_invalid_parent_pointers_rejected(self):
         with pytest.raises(GraphError):
             RootedTree(0, {1: 2, 2: 1, 0: None})
-        graph = cycle_graph(4)
         with pytest.raises(GraphError):
-            spanning_tree_from_parents(graph, 0, {1: 3, 2: 1, 3: 2})
+            RootedTree(0, {1: 3, 2: 1, 3: 2})
 
     def test_cotree_edges(self):
         graph = cycle_graph(5)
@@ -125,7 +109,7 @@ class TestRootedTree:
         assert len(extra) == 1
 
     def test_tree_degree(self):
-        graph = star_graph(3)
+        graph = complete_bipartite_graph(1, 3)
         tree = bfs_spanning_tree(graph, 0)
         assert tree.tree_degree(0) == 3
         assert tree.tree_degree(1) == 1
@@ -135,10 +119,10 @@ class TestDegeneracy:
     def test_planar_graphs_are_5_degenerate(self):
         for seed in range(3):
             graph = random_apollonian_network(40, seed=seed)
-            assert degeneracy(graph) <= 5
+            assert degeneracy_ordering(graph)[1] <= 5
 
     def test_complete_graph_degeneracy(self):
-        assert degeneracy(complete_graph(6)) == 5
+        assert degeneracy_ordering(complete_graph(6))[1] == 5
 
     def test_ordering_property(self):
         graph = random_apollonian_network(30, seed=7)
@@ -157,7 +141,7 @@ class TestDegeneracy:
         assert max(len(edges) for edges in assignment.values()) <= 5
 
     def test_empty_graph(self):
-        assert degeneracy(Graph()) == 0
+        assert degeneracy_ordering(Graph()) == ([], 0)
 
 
 class TestRotationSystem:
@@ -189,7 +173,7 @@ class TestRotationSystem:
         assert rotation.mirrored().is_planar_embedding()
 
     def test_rotation_queries(self):
-        graph = star_graph(3)
+        graph = complete_bipartite_graph(1, 3)
         rotation = RotationSystem.trivial(graph)
         order = rotation.rotation(0)
         assert set(order) == {1, 2, 3}
@@ -221,11 +205,7 @@ class TestValidation:
         assert is_path_graph(path_graph(5))
         assert is_path_graph(path_graph(1))
         assert not is_path_graph(cycle_graph(5))
-        assert not is_path_graph(star_graph(3))
-
-    def test_is_simple_cycle(self):
-        assert is_simple_cycle(cycle_graph(5))
-        assert not is_simple_cycle(path_graph(5))
+        assert not is_path_graph(complete_bipartite_graph(1, 3))
 
     def test_is_outerplanar(self):
         assert is_outerplanar(cycle_graph(8))

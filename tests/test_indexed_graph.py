@@ -9,13 +9,7 @@ import pytest
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.indexed import IndexedGraph
-from repro.graphs.traversal import (
-    bfs_order,
-    bfs_parents,
-    dfs_order,
-    dfs_parents,
-    shortest_path_lengths,
-)
+from repro.graphs.traversal import bfs_parents, dfs_parents
 
 
 def heterogeneous_graph() -> Graph:
@@ -140,22 +134,33 @@ class TestIndexedCache:
 # ----------------------------------------------------------------------
 # traversal routing keeps the historical deterministic orders
 # ----------------------------------------------------------------------
+def bfs_order(graph: Graph, start):
+    """The CSR BFS order from ``start``, as labels."""
+    indexed = graph.indexed()
+    return [indexed.labels[i] for i in indexed.bfs_order_from(indexed.index_of[start])]
+
+
 class TestTraversalEquivalence:
+    """The CSR traversals visit in the legacy order; the parent maps are in
+    discovery order, so their keys are the visiting order too."""
+
     def test_bfs_order_matches_legacy(self, planar_case):
         _, graph = planar_case
         start = next(iter(graph.nodes()))
         assert bfs_order(graph, start) == legacy_bfs_order(graph, start)
+        assert list(bfs_parents(graph, start)) == legacy_bfs_order(graph, start)
 
     def test_dfs_order_matches_legacy(self, planar_case):
         _, graph = planar_case
         start = next(iter(graph.nodes()))
-        assert dfs_order(graph, start) == legacy_dfs_order(graph, start)
+        assert list(dfs_parents(graph, start)) == legacy_dfs_order(graph, start)
 
     def test_heterogeneous_traversals(self):
         graph = heterogeneous_graph()
         start = 1
         assert bfs_order(graph, start) == legacy_bfs_order(graph, start)
-        assert dfs_order(graph, start) == legacy_dfs_order(graph, start)
+        assert list(bfs_parents(graph, start)) == legacy_bfs_order(graph, start)
+        assert list(dfs_parents(graph, start)) == legacy_dfs_order(graph, start)
 
     def test_parents_are_consistent_with_orders(self):
         graph = heterogeneous_graph()
@@ -168,8 +173,12 @@ class TestTraversalEquivalence:
         assert set(dparents) == set(parents)
 
     def test_shortest_path_lengths(self):
+        """BFS parent pointers give hop distances on mixed labels."""
         graph = heterogeneous_graph()
-        dist = shortest_path_lengths(graph, 1)
+        parents = bfs_parents(graph, 1)
+        dist = {}
+        for node, parent in parents.items():  # discovery order: parents first
+            dist[node] = 0 if parent is None else dist[parent] + 1
         assert dist[1] == 0
         assert dist["a"] == 1
         assert dist["z"] == 2
@@ -178,7 +187,7 @@ class TestTraversalEquivalence:
     def test_missing_start_raises(self):
         graph = heterogeneous_graph()
         with pytest.raises(GraphError):
-            bfs_order(graph, "missing")
+            bfs_parents(graph, "missing")
         with pytest.raises(GraphError):
             dfs_parents(graph, "missing")
 

@@ -35,8 +35,6 @@ from repro.lowerbound.counting import (
     log2_number_of_paths,
     lower_bound_curve,
     minimum_certificate_bits,
-    pigeonhole_applies,
-    smallest_fooled_p,
 )
 from repro.lowerbound.indistinguishability import (
     all_views,
@@ -92,6 +90,15 @@ class TestBlocks:
             model = clique_minor_model_in_cycle(instance)
             assert len(model) == k
             assert verify_clique_minor_model(instance.graph, model)
+
+    def test_minor_model_keeps_the_first_block_as_singletons(self):
+        """Claim 8's model: the first block's k - 1 nodes stay singletons and
+        the rest of the cycle is the k-th branch set."""
+        instance = build_cycle_of_blocks(5, [2, 1, 3])
+        model = clique_minor_model_in_cycle(instance)
+        first = instance.nodes_of_block(2)
+        assert model[:-1] == [{node} for node in sorted(first)]
+        assert model[-1] == set(instance.graph.nodes()) - set(first)
 
     def test_cycle_validation(self):
         with pytest.raises(GraphError):
@@ -197,13 +204,17 @@ class TestCounting:
         assert abs(log2_number_of_paths(5) - math.log2(120)) < 1e-9
         assert log2_number_of_labelings(5, 10, 3) == 4 * 3 * 10
 
+    @staticmethod
+    def pigeonhole_applies(k: int, p: int, bits: int) -> bool:
+        """Lemma 5's condition: more paths of blocks than ``bits``-bit labelings,
+        so two distinct paths receive identical labelled blocks."""
+        return log2_number_of_paths(p) > log2_number_of_labelings(k, p, bits)
+
     def test_pigeonhole_threshold_behaviour(self):
         # 0-bit certificates are fooled as soon as there are two permutations
-        assert pigeonhole_applies(5, 3, 0)
+        assert self.pigeonhole_applies(5, 3, 0)
         # enough bits always escape the pigeonhole
-        assert not pigeonhole_applies(5, 8, 64)
-        assert smallest_fooled_p(5, 0) == 2
-        assert smallest_fooled_p(4, 64, p_limit=1000) is None
+        assert not self.pigeonhole_applies(5, 8, 64)
 
     def test_minimum_bits_grows_logarithmically(self):
         small = minimum_certificate_bits(5, 8)
@@ -217,9 +228,9 @@ class TestCounting:
         """For every p, certificates below the bound are fooled, at the bound they are not."""
         for p in (8, 64, 512):
             bound = minimum_certificate_bits(5, p)
-            assert not pigeonhole_applies(5, p, bound)
+            assert not self.pigeonhole_applies(5, p, bound)
             if bound > 0:
-                assert pigeonhole_applies(5, p, bound - 1)
+                assert self.pigeonhole_applies(5, p, bound - 1)
 
     def test_lower_bound_curve_rows(self):
         points = lower_bound_curve(5, [4, 16, 64])

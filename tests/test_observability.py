@@ -28,13 +28,11 @@ from repro.observability import (
     MetricsRegistry,
     TimingStat,
     Tracer,
-    chrome_trace,
     current,
     install,
     self_times,
     start_tracing,
     stop_tracing,
-    summary_table,
     write_span_log,
 )
 
@@ -407,15 +405,6 @@ class TestExporters:
         assert any("shm_attach" in f for f in failures)
         assert any("bytes_shared" in f
                    for f in report.check_zero_copy(spans, None))
-
-    def test_chrome_trace_and_summary_table(self):
-        tracer = self._traced_run()
-        payload = chrome_trace(tracer)
-        assert payload["traceEvents"]
-        event = payload["traceEvents"][0]
-        assert event["ph"] == "X" and event["pid"] == 0
-        table = summary_table(tracer)
-        assert "kernel:planarity-pls" in table
 
     def test_self_times_subtract_direct_children(self):
         tracer = Tracer(enabled=True)

@@ -14,7 +14,6 @@ from repro.core.path_outerplanar import (
     find_crossing_pair,
     find_path_outerplanar_witness,
     intervals_cross,
-    is_path_outerplanar,
     is_path_outerplanar_witness,
     random_path_outerplanar_graph,
 )
@@ -22,7 +21,7 @@ from repro.core.po_scheme import PathOuterplanarLabel, PathOuterplanarScheme, al
 from repro.distributed.network import Network
 from repro.distributed.verifier import certify_and_verify, run_verification
 from repro.exceptions import GraphError, NotInClassError
-from repro.graphs.generators import complete_graph, cycle_graph, path_graph, star_graph
+from repro.graphs.generators import complete_bipartite_graph, complete_graph, cycle_graph, path_graph
 from repro.graphs.graph import Graph
 
 
@@ -77,16 +76,11 @@ class TestWitness:
 
     def test_find_witness_small_graphs(self):
         assert find_path_outerplanar_witness(cycle_graph(5)) is not None
-        assert find_path_outerplanar_witness(star_graph(3),
+        assert find_path_outerplanar_witness(complete_bipartite_graph(1, 3),
                                              raise_on_failure=False) is None
         # K4 has a Hamiltonian path but its chords always cross
         assert find_path_outerplanar_witness(complete_graph(4),
                                              raise_on_failure=False) is None
-
-    def test_is_path_outerplanar_decision(self):
-        assert is_path_outerplanar(cycle_graph(6))
-        assert not is_path_outerplanar(complete_graph(4))
-        assert not is_path_outerplanar(star_graph(3))
 
     def test_large_graph_without_witness_raises(self):
         graph, _ = random_path_outerplanar_graph(30, seed=1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.path_outerplanar import is_path_outerplanar_witness
 from repro.exceptions import GraphError, NotPlanarError
 from repro.graphs.generators import (
     NONPLANAR_FAMILIES,
@@ -32,12 +33,9 @@ from repro.graphs.generators import (
 )
 from repro.graphs.kuratowski import find_kuratowski_subdivision
 from repro.graphs.minors import (
-    contract_branch_sets,
-    has_clique_minor,
     is_k4_minor_free,
     verify_bipartite_minor_model,
     verify_clique_minor_model,
-    verify_minor_model,
 )
 from repro.graphs.planarity import (
     compute_planar_embedding,
@@ -181,11 +179,10 @@ class TestMinors:
         assert verify_clique_minor_model(graph, [{i} for i in range(5)])
         assert not verify_clique_minor_model(cycle_graph(5), [{i} for i in range(5)])
 
-    def test_verify_minor_model_general(self):
+    def test_multi_node_branch_sets(self):
         graph = cycle_graph(6)
-        target = cycle_graph(3)
-        branch_sets = [{0, 1}, {2, 3}, {4, 5}]
-        assert verify_minor_model(graph, branch_sets, target, target_order=[0, 1, 2])
+        assert verify_clique_minor_model(graph, [{0, 1}, {2, 3}, {4, 5}])
+        assert not verify_clique_minor_model(graph, [{0}, {1}, {3}])
 
     def test_branch_set_validation(self):
         graph = path_graph(4)
@@ -196,11 +193,13 @@ class TestMinors:
         with pytest.raises(GraphError):
             verify_clique_minor_model(graph, [set(), {1}])
 
-    def test_contract_branch_sets(self):
-        graph = cycle_graph(6)
-        contracted = contract_branch_sets(graph, [{0, 1}, {2, 3}, {4, 5}])
-        assert contracted.number_of_nodes() == 3
-        assert contracted.number_of_edges() == 3
+    def test_has_clique_minor_small(self):
+        assert not is_k4_minor_free(complete_graph(4))
+        assert not is_k4_minor_free(wheel_graph(4))
+        assert is_k4_minor_free(cycle_graph(6))
+        assert is_k4_minor_free(grid_graph(2, 3))
+        # contracting the Petersen graph's spokes leaves K5
+        assert verify_clique_minor_model(petersen_graph(), [{i, 5 + i} for i in range(5)])
 
     def test_bipartite_minor_model(self):
         graph = complete_bipartite_graph(2, 3)
@@ -212,13 +211,6 @@ class TestMinors:
         assert is_k4_minor_free(random_outerplanar_graph(15, seed=2))
         assert not is_k4_minor_free(complete_graph(4))
         assert not is_k4_minor_free(wheel_graph(5))
-
-    def test_has_clique_minor_small(self):
-        assert has_clique_minor(complete_graph(4), 4)
-        assert has_clique_minor(wheel_graph(4), 4)
-        assert not has_clique_minor(cycle_graph(6), 4)
-        assert has_clique_minor(petersen_graph(), 5)
-        assert not has_clique_minor(grid_graph(2, 3), 4)
 
 
 class TestGenerators:
@@ -250,6 +242,12 @@ class TestGenerators:
         assert is_outerplanar(maximal)
         assert is_outerplanar(partial)
         assert partial.is_connected()
+
+    def test_outerplanar_generator_keeps_its_boundary_path(self):
+        """Only chords are dropped, so the outer order stays a witness."""
+        for seed in range(5):
+            graph = random_outerplanar_graph(20, seed=seed)
+            assert is_path_outerplanar_witness(graph, list(range(20)))
 
     def test_subdivisions_are_nonplanar(self):
         assert not is_planar(k5_subdivision(3))

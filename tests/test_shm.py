@@ -33,12 +33,22 @@ pytestmark = pytest.mark.skipif(not shm.HAVE_SHM,
                                 reason="shared memory unavailable")
 
 
+def active_segments() -> dict[str, int]:
+    """Map of segment name -> current refcount for this process.
+
+    Creator segments appear from export (refcount 0 until attached);
+    attacher segments appear on first attach and disappear when their
+    refcount returns to zero.
+    """
+    return {name: seg.refcount for name, seg in shm._segments.items()}
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
     """Every test must leave this process's segment registry empty."""
-    before = dict(shm.active_segments())
+    before = dict(active_segments())
     yield
-    leaked = {name: count for name, count in shm.active_segments().items()
+    leaked = {name: count for name, count in active_segments().items()
               if name not in before}
     for name in leaked:  # clean up so one failure doesn't cascade
         shm.SharedArtifact(name=name, manifest=(), nbytes=0).unlink()
@@ -66,7 +76,7 @@ class TestArtifactLifecycle:
         artifact.detach()
         assert artifact.refcount == 0
         artifact.unlink()
-        assert shm.active_segments() == {}
+        assert active_segments() == {}
 
     def test_handle_is_small_and_picklable(self):
         artifact = shm.export_arrays(
@@ -116,7 +126,7 @@ class TestArtifactLifecycle:
         artifact = shm.export_arrays({"a": np.arange(4, dtype=np.int64)})
         artifact.unlink()
         artifact.unlink()  # second call must be a no-op, not an error
-        assert shm.active_segments() == {}
+        assert active_segments() == {}
 
     def test_no_segment_leak_when_consumer_raises(self):
         artifact = shm.export_arrays({"a": np.arange(4, dtype=np.int64)})
@@ -131,7 +141,7 @@ class TestArtifactLifecycle:
             assert artifact.refcount == 0
         finally:
             artifact.unlink()
-        assert shm.active_segments() == {}
+        assert active_segments() == {}
 
 
 # ---------------------------------------------------------------------------

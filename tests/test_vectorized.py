@@ -26,13 +26,13 @@ from repro.distributed.registry import SchemeRegistry, default_registry
 from repro.distributed.verifier import run_verification
 from repro.exceptions import RegistryError
 from repro.graphs.generators import (
+    complete_bipartite_graph,
     cycle_graph,
     delaunay_planar_graph,
     k5_subdivision,
     path_graph,
     planar_plus_random_edges,
     random_tree,
-    star_graph,
 )
 from repro.vectorized import (
     INT_LIMIT,
@@ -596,7 +596,7 @@ def _fuzz_graphs():
     return [
         ("path", path_graph(18)),
         ("cycle", cycle_graph(17)),
-        ("star", star_graph(9)),
+        ("star", complete_bipartite_graph(1, 9)),
         ("tree", random_tree(26, seed=11)),
         ("planar", delaunay_planar_graph(30, seed=12)),
         ("nonplanar", planar_plus_random_edges(22, extra_edges=3, seed=13)),
