@@ -1,19 +1,16 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the benchmark scripts.
 
-Every benchmark module regenerates one experiment (E1-E10) of
-:mod:`repro.analysis.experiments`: it prints the experiment's table (the
-"figure" of this reproduction) and uses ``pytest-benchmark`` to time the
-operation that the experiment stresses.  The files do not match pytest's
-``test_*.py`` pattern, so name them when running from the repository root::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_*.py --benchmark-only -s
-
-The standalone sweep scripts (``bench_engine.py``, ``bench_vectorized.py``,
-``bench_protocols.py``) import :func:`provenance` from here so every
-committed ``BENCH_*.json`` records the machine and interpreter it was
-measured on — without that header, rows like the engine benchmark's
-process-pool section are uninterpretable (pool overhead on a single-core CI
-container looks like a slowdown, not a scaling result).
+Each script runs from the repository root as
+``PYTHONPATH=src python benchmarks/bench_x.py``, prints its tables with
+:func:`emit` and writes one committed ``BENCH_*.json`` whose header comes
+from :func:`provenance`.  ``bench_paper.py`` is the paper-claims ledger
+(experiments E1-E10 of :mod:`repro.analysis.experiments`, each claim a
+gated row); ``bench_vectorized.py``, ``bench_protocols.py``,
+``bench_adversary.py``, ``bench_scale.py`` and ``bench_dynamic.py`` are the
+sweeps.  The header records the machine and interpreter a payload was
+measured on — without it, rows like a process-pool section are
+uninterpretable (pool overhead on a single-core CI container looks like a
+slowdown, not a scaling result).
 """
 
 from __future__ import annotations
@@ -24,11 +21,13 @@ import subprocess
 from pathlib import Path
 from typing import Any
 
+import networkx
+
 from repro.analysis.tables import format_table
 
 
 def emit(rows, title: str) -> None:
-    """Print an experiment table (shown with ``-s``; captured otherwise)."""
+    """Print an experiment table under its title."""
     print()
     print(format_table(rows, title=title))
 
@@ -95,7 +94,9 @@ def provenance(workers: int | None = None,
     version, the git commit the numbers were measured at and whether tracked
     files differed from it (``git_dirty``; both ``None`` when unavailable,
     e.g. outside a checkout) make the committed ``BENCH_*.json`` payloads
-    attributable to an exact kernel implementation.
+    attributable to an exact kernel implementation.  The networkx version is
+    there because every certificate bit count depends on the planar
+    embedding networkx returns.
 
     ``observability`` embeds a metrics/span snapshot (see
     :func:`observability_snapshot`) so a committed payload also records
@@ -111,6 +112,7 @@ def provenance(workers: int | None = None,
         "effective_cpus": effective_cpu_count(),
         "pool_start_method": "spawn",  # run_trials pins it on every platform
         "numpy_version": _numpy_version(),
+        "networkx_version": networkx.__version__,
         "git_commit": commit,
         "git_dirty": dirty,
     }

@@ -20,8 +20,8 @@ setup(
         "numpy>=1.24",
     ],
     extras_require={
-        # Delaunay instance generator and the benchmark harness
-        "benchmarks": ["scipy", "pytest-benchmark"],
+        # Delaunay instance generator
+        "benchmarks": ["scipy"],
         "tests": ["pytest", "hypothesis"],
     },
 )

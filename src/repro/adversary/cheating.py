@@ -43,6 +43,7 @@ from repro.baselines.dmam import (
 )
 from repro.core.dfs_mapping import cut_open
 from repro.distributed.engine import derive_seed
+from repro.distributed.interactive import FirstTurn
 from repro.distributed.network import Network
 from repro.graphs.embedding import RotationSystem
 from repro.graphs.generators import planar_plus_random_edges
@@ -87,8 +88,9 @@ class CheatingSecondStrategy:
 
     def __call__(self, network: Network, first: dict[Node, Any],
                  challenges: dict[Node, int]) -> dict[Node, Any]:
-        return self.protocol._second_from(self.decomposition, network,
-                                          challenges)
+        return self.protocol.second_turn(
+            network, FirstTurn(messages=first, state=self.decomposition),
+            challenges)
 
 
 class CheatingDMAMProver:

@@ -7,7 +7,6 @@ from repro.analysis.experiments import (
     comparison_experiment,
     completeness_experiment,
     lower_bound_table,
-    runtime_experiment,
     soundness_experiment,
     upper_vs_lower_bound_table,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "comparison_experiment",
     "completeness_experiment",
     "lower_bound_table",
-    "runtime_experiment",
     "soundness_experiment",
     "upper_vs_lower_bound_table",
     "ScalingFit",

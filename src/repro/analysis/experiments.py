@@ -1,15 +1,16 @@
 """Experiment drivers (E1-E10, one per claim of the paper they reproduce).
 
-Every function returns a list of plain dictionaries (rows), so the benchmark
-harness can render the tables and the tests can assert the qualitative
-claims (who wins, by what kind of factor) without string parsing.
+Every function returns a list of plain dictionaries (rows), so the
+paper-claims ledger (``benchmarks/bench_paper.py``) can commit and gate the
+tables and the tests can assert the qualitative claims (who wins, by what
+kind of factor) without string parsing.  Runtime scaling (E8) is not a
+claim of the paper; perfbench measures it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from typing import Any
 
 from repro.adversary.attacks import random_certificate_attack, transplant_attack
@@ -38,7 +39,6 @@ __all__ = [
     "comparison_experiment",
     "lower_bound_table",
     "upper_vs_lower_bound_table",
-    "runtime_experiment",
 ]
 
 #: engine shared by every driver in this module when the caller passes none;
@@ -236,42 +236,6 @@ def upper_vs_lower_bound_table(sizes: list[int] | None = None,
             "upper_bound_max_bits": result.max_certificate_bits,
             "lower_bound_bits": minimum_certificate_bits(5, p),
             "log2_n": round(math.log2(n), 2),
-        })
-    return rows
-
-
-# ----------------------------------------------------------------------
-# E8: runtime scaling
-# ----------------------------------------------------------------------
-def runtime_experiment(sizes: list[int] | None = None, seed: int = 0,
-                       engine: SimulationEngine | None = None) -> list[dict[str, Any]]:
-    """Measure prover and verifier wall-clock time on growing Apollonian networks.
-
-    The verifier leg times the batched
-    :meth:`~repro.distributed.engine.SimulationEngine.verify` path (the
-    production loop); structural caches are cold for each fresh network, so
-    the numbers include one view-materialisation pass.
-    """
-    sizes = sizes or [50, 100, 200, 400]
-    engine = _engine_or_default(engine)
-    scheme = default_registry().create("planarity-pls")
-    rows = []
-    for n in sizes:
-        graph = random_apollonian_network(n, seed=seed + n)
-        network = engine.network_for(graph, seed=seed + n)
-        start = time.perf_counter()
-        certificates = engine.certify(scheme, network, cache=False)
-        prover_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        result = engine.verify(scheme, network, certificates)
-        verifier_seconds = time.perf_counter() - start
-        rows.append({
-            "n": n,
-            "m": graph.number_of_edges(),
-            "prover_seconds": round(prover_seconds, 4),
-            "verifier_seconds": round(verifier_seconds, 4),
-            "accepted": result.accepted,
-            "max_bits": result.max_certificate_bits,
         })
     return rows
 

@@ -176,23 +176,19 @@ class PlanarityDMAMProtocol(InteractiveProtocol):
     # ------------------------------------------------------------------
     # Merlin, turn 1
     # ------------------------------------------------------------------
-    def merlin_first(self, network: Network) -> dict[Node, DMAMFirstMessage]:
-        return self.first_turn(network).messages
-
     def first_turn(self, network: Network) -> FirstTurn:
         """Turn 1 with its prover context (the cut-open decomposition) explicit.
 
         The decomposition is carried in ``FirstTurn.state`` so the second
         turn can be replayed against many challenge draws — and cached per
-        ``(network, protocol)`` by the simulation engine — without relying
-        on instance state left over from the *last* first turn.
+        ``(network, protocol)`` by the simulation engine — from the turn
+        alone, whichever network the protocol instance served last.
         """
         graph = network.graph
         if not self.is_member(graph):
             raise NotInClassError("the network is not planar")
         decomposition = cut_open(graph, embedding_backend=self.embedding_backend)
         messages = self.messages_from_decomposition(network, decomposition)
-        self._last_decomposition = decomposition
         return FirstTurn(messages=messages, state=decomposition)
 
     def messages_from_decomposition(self, network: Network,
@@ -257,17 +253,15 @@ class PlanarityDMAMProtocol(InteractiveProtocol):
     # ------------------------------------------------------------------
     # Merlin, turn 2 (after Arthur's coins)
     # ------------------------------------------------------------------
-    def merlin_second(self, network: Network, first: dict[Node, DMAMFirstMessage],
-                      challenges: dict[Node, int]) -> dict[Node, DMAMSecondMessage]:
-        return self._second_from(self._last_decomposition, network, challenges)
-
     def second_turn(self, network: Network, turn: FirstTurn,
                     challenges: dict[Node, int]) -> dict[Node, DMAMSecondMessage]:
-        state = turn.state if turn.state is not None else self._last_decomposition
-        return self._second_from(state, network, challenges)
+        """Turn 2: the fingerprint products for the decomposition in ``turn.state``.
 
-    def _second_from(self, decomposition, network: Network,
-                     challenges: dict[Node, int]) -> dict[Node, DMAMSecondMessage]:
+        The cheating prover of :mod:`repro.adversary.cheating` passes a turn
+        whose state is its pseudo-decomposition, and gets the answers the
+        bottom-up product checks force for it.
+        """
+        decomposition = turn.state
         prime = self.field_prime
         tree = decomposition.tree
         root = tree.root

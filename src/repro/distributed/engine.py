@@ -102,6 +102,7 @@ from repro.distributed.interactive import (
     FirstTurn,
     InteractiveProtocol,
     InteractiveTranscript,
+    require_second_message,
 )
 from repro.distributed.network import LocalView, Network
 from repro.distributed.scheme import ProofLabelingScheme
@@ -328,17 +329,19 @@ class _NetworkState:
     def patched(self, network: Network) -> _NetworkState | None:
         """A fresh record for ``network`` carried through its edge deltas.
 
-        Only *topology-shaped* artifacts carry over, patched for the delta
-        endpoints: the radius-1 structure list (a node's radius-1 structure
-        depends on nothing beyond its own adjacency) and the compiled
-        :class:`~repro.vectorized.compiler.VectorContext` (the patch rides
-        on the CSR patch of :meth:`IndexedGraph.patched
-        <repro.graphs.indexed.IndexedGraph.patched>`), both byte-identical
-        to a from-scratch rebuild.  *Assignment-shaped* artifacts — honest
-        certificates and their decisions, size statistics, first turns, dMAM
-        round states, fingerprints, deeper-radius structures — have no
-        bounded delta form and stay behind, as does a cached refusal (an
-        isolated node may have gained an edge).
+        Only the radius-1 structure list carries over, re-materialised for
+        the delta endpoints (a node's radius-1 structure depends on nothing
+        beyond its own adjacency) and byte-identical to a from-scratch
+        rebuild.  The compiled
+        :class:`~repro.vectorized.compiler.VectorContext` is left unset and
+        rebuilt on demand from the CSR that :meth:`IndexedGraph.patched
+        <repro.graphs.indexed.IndexedGraph.patched>` already patched: a
+        patch of it would be O(n) array work too, and saved only a fraction
+        of a millisecond per event at n = 2000.  *Assignment-shaped*
+        artifacts — honest certificates and their decisions, size
+        statistics, first turns, dMAM round states, fingerprints,
+        deeper-radius structures — have no bounded delta form and stay
+        behind.
 
         Returns ``None`` when the journal cannot vouch for the mutation
         (truncated, node operations, or more than
@@ -365,10 +368,6 @@ class _NetworkState:
                         return None
                     cached[i] = structure_at(network, node, 1)
                 fresh.structures[1] = cached
-            if self.context is not _UNSET and self.context is not None:
-                from repro.dynamic.tables import patch_vector_context
-
-                fresh.context = patch_vector_context(self.context, network)
             if sp:
                 sp.set(nodes=network.size, deltas=len(deltas),
                        touched=len(touched))
@@ -1128,6 +1127,7 @@ class SimulationEngine:
         on the engine's cached view structures instead of rebuilding every
         node's :meth:`~repro.distributed.network.Network.local_view`.
         """
+        require_second_message(dishonest_first, dishonest_second)
         rng = random.Random(seed)
         turn = None
         if dishonest_first is not None:
@@ -1141,12 +1141,8 @@ class SimulationEngine:
         challenges = protocol.draw_challenges(network, rng)
         if dishonest_second is not None:
             second = dishonest_second
-        elif turn is not None:
-            second = protocol.second_turn(network, turn, challenges)
         else:
-            # dishonest first, honest-shaped second: mirror the reference
-            # runner (merlin_second over the raw messages)
-            second = protocol.merlin_second(network, first, challenges)
+            second = protocol.second_turn(network, turn, challenges)
         accept = self._interactive_decisions(protocol, network, first,
                                              second, challenges)
         return InteractiveTranscript(
@@ -1302,11 +1298,13 @@ class SimulationEngine:
         ``first`` fixes Merlin's first message (a dishonest prover in a
         soundness experiment); ``None`` plays the honest cached first turn.
         ``second_strategy(network, first, challenges)`` produces the second
-        message per draw; ``None`` plays honest Merlin.  Trials are fanned
-        out through :meth:`run_trials` when ``workers > 1`` (each worker
+        message per draw; ``None`` plays honest Merlin, which answers only
+        the honest first turn, so a fixed ``first`` needs a strategy.  Trials
+        are fanned out through :meth:`run_trials` when ``workers > 1`` (each worker
         process rebuilds its own engine, so the protocol, network, and
         ``second_strategy`` must then be picklable).
         """
+        require_second_message(first, second_strategy)
         root_seed = self.seed if seed is None else seed
         if self.workers > 1 and trials > 1:
             bounds = [(trials * w // self.workers, trials * (w + 1) // self.workers)
@@ -1462,10 +1460,8 @@ def _estimate_counts(engine: SimulationEngine, protocol: InteractiveProtocol,
         challenges = protocol.draw_challenges(network, rng)
         if second_strategy is not None:
             second = second_strategy(network, first, challenges)
-        elif turn is not None:
-            second = protocol.second_turn(network, turn, challenges)
         else:
-            second = protocol.merlin_second(network, first, challenges)
+            second = protocol.second_turn(network, turn, challenges)
         counts.append(engine.count_accepting_interactive(
             protocol, network, first, second, challenges, prepared=prepared))
     return counts

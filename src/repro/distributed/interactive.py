@@ -24,7 +24,7 @@ from repro.distributed.network import LocalView, Network
 from repro.graphs.graph import Graph, Node
 
 __all__ = ["FirstTurn", "InteractiveProtocol", "InteractiveTranscript",
-           "run_interactive_protocol"]
+           "require_second_message", "run_interactive_protocol"]
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,14 @@ class InteractiveProtocol(ABC):
         """Ground-truth membership predicate."""
 
     @abstractmethod
-    def merlin_first(self, network: Network) -> dict[Node, Any]:
-        """First Merlin message (certificate per node)."""
+    def first_turn(self, network: Network) -> FirstTurn:
+        """Merlin's first turn: the per-node messages and the private state
+        the second turn needs, as one :class:`FirstTurn`."""
 
     @abstractmethod
-    def merlin_second(self, network: Network, first: dict[Node, Any],
-                      challenges: dict[Node, int]) -> dict[Node, Any]:
-        """Second Merlin message, after seeing the challenges."""
+    def second_turn(self, network: Network, turn: FirstTurn,
+                    challenges: dict[Node, int]) -> dict[Node, Any]:
+        """Merlin's second turn, answering ``challenges`` from ``turn`` alone."""
 
     @abstractmethod
     def verify(self, view: LocalView, challenge: int,
@@ -111,24 +112,6 @@ class InteractiveProtocol(ABC):
         (:mod:`repro.distributed.views`), which shares the ball graph across
         executions — verifiers must treat the view as **read-only**.
         """
-
-    # ------------------------------------------------------------------
-    # explicit-state turns (overridable; defaults wrap the abstract API)
-    # ------------------------------------------------------------------
-    def first_turn(self, network: Network) -> FirstTurn:
-        """Merlin's first turn as a :class:`FirstTurn` artifact.
-
-        Protocols whose second turn needs prover context computed during the
-        first turn should override this (and :meth:`second_turn`) to thread
-        that context through ``FirstTurn.state`` explicitly; the default
-        wraps :meth:`merlin_first` with no state.
-        """
-        return FirstTurn(messages=self.merlin_first(network))
-
-    def second_turn(self, network: Network, turn: FirstTurn,
-                    challenges: dict[Node, int]) -> dict[Node, Any]:
-        """Merlin's second turn, given the explicit first-turn artifact."""
-        return self.merlin_second(network, turn.messages, challenges)
 
     # ------------------------------------------------------------------
     # split verification (overridable; defaults fall back to verify())
@@ -160,6 +143,20 @@ class InteractiveProtocol(ABC):
         return {node: rng.getrandbits(self.challenge_bits) for node in network.nodes()}
 
 
+def require_second_message(first: Any, second: Any) -> None:
+    """Refuse a fixed first Merlin message that comes without a second one.
+
+    The honest second turn answers from the private state of the honest
+    first turn (:attr:`FirstTurn.state`), which a caller-supplied first
+    message does not carry; whoever fixes the first message fixes the second
+    too.
+    """
+    if first is not None and second is None:
+        raise ValueError("a fixed first Merlin message needs a fixed second "
+                         "message: the honest second turn answers only the "
+                         "honest first turn")
+
+
 def run_interactive_protocol(protocol: InteractiveProtocol, network: Network,
                              seed: int | None = None,
                              dishonest_second: dict[Node, Any] | None = None,
@@ -168,15 +165,18 @@ def run_interactive_protocol(protocol: InteractiveProtocol, network: Network,
     """Execute a dMAM protocol end to end and return the transcript.
 
     ``dishonest_first`` / ``dishonest_second`` allow tests to replace
-    Merlin's messages with adversarial ones (soundness experiments).
+    Merlin's messages with adversarial ones (soundness experiments); a
+    dishonest first message needs a second one (:func:`require_second_message`).
     """
+    require_second_message(dishonest_first, dishonest_second)
     rng = random.Random(seed)
-    first = dishonest_first if dishonest_first is not None else protocol.merlin_first(network)
+    turn = None if dishonest_first is not None else protocol.first_turn(network)
+    first = dishonest_first if turn is None else turn.messages
     challenges = protocol.draw_challenges(network, rng)
     if dishonest_second is not None:
         second = dishonest_second
     else:
-        second = protocol.merlin_second(network, first, challenges)
+        second = protocol.second_turn(network, turn, challenges)
 
     paired = {node: (first.get(node), second.get(node)) for node in network.nodes()}
     decisions: dict[Node, bool] = {}

@@ -5,9 +5,6 @@ The rest of the library assumes whole-world recompute: any mutation of a
 compiled artifact is rebuilt from scratch.  This package is the delta path
 for churning overlays:
 
-* :mod:`repro.dynamic.tables` — re-derive a compiled
-  :class:`~repro.vectorized.compiler.VectorContext` from the patched CSR
-  after edge-only deltas;
 * :mod:`repro.dynamic.repair` — honest-prover certificate *repair*: update
   spanning-tree distances/parents and planarity interval maps locally after
   an edge event, falling back to a full re-prove (counted) when the repair
@@ -29,7 +26,6 @@ network's cache record through
 from repro.dynamic.incremental import DynamicAuditor, EventReport
 from repro.dynamic.repair import (PlanarityRepairer, RepairResult,
                                   SpanningTreeRepairer, repairer_for)
-from repro.dynamic.tables import patch_vector_context
 
 __all__ = [
     "DynamicAuditor",
@@ -38,5 +34,4 @@ __all__ = [
     "SpanningTreeRepairer",
     "PlanarityRepairer",
     "repairer_for",
-    "patch_vector_context",
 ]

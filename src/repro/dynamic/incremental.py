@@ -85,6 +85,9 @@ class DynamicAuditor:
                 f"no certificate repairer is registered for {scheme.name!r}")
         self.certificates: dict[Node, Any] = {}
         self.decisions: dict[Node, bool] = {}
+        #: how many values of ``decisions`` are ``False``, kept per event so
+        #: no report scans the whole decision map
+        self._rejecting = 0
         self.events = 0
         self.fallbacks = 0
         self._version = network.graph._version
@@ -101,6 +104,7 @@ class DynamicAuditor:
         network = self.network
         self.certificates = self.scheme.prove(network)
         self.decisions = self._decide(network.nodes())
+        self._rejecting = sum(not ok for ok in self.decisions.values())
         self._version = network.graph._version
         return dict(self.decisions)
 
@@ -164,7 +168,10 @@ class DynamicAuditor:
                        fallback=result.fallback)
         if tracer.enabled:
             tracer.metrics.count("delta_nodes", len(dirty))
-        self.decisions.update(decided)
+        decisions = self.decisions
+        for node, ok in decided.items():
+            self._rejecting += int(decisions.get(node, True)) - int(ok)
+        decisions.update(decided)
         self._version = graph._version
 
         id_of = network.id_of
@@ -174,7 +181,7 @@ class DynamicAuditor:
             op=op, u=u, v=v, member=result.member, fallback=result.fallback,
             reason=result.reason, changed=len(result.changed),
             redecided=len(dirty), alarms=alarms,
-            accept_all=not alarms and all(self.decisions.values()))
+            accept_all=self._rejecting == 0)
 
     # ------------------------------------------------------------------
     def _decide(self, nodes: Any) -> dict[Node, bool]:
@@ -188,7 +195,7 @@ class DynamicAuditor:
     @property
     def accepts_all(self) -> bool:
         """Whether every node of the network currently accepts."""
-        return all(self.decisions.values())
+        return self._rejecting == 0
 
     def decisions_digest(self) -> str:
         """A digest of the full decision vector, keyed by node identifier.

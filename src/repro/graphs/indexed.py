@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from repro.exceptions import GraphError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.graphs.graph import Edge, Graph, Node
+    from repro.graphs.graph import Graph, Node
 
 __all__ = ["IndexedGraph"]
 

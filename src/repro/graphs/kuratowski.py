@@ -28,10 +28,10 @@ single planarity test.  A minimal core of ``k`` edges inside ``m``
 candidates costs ``O(k log(m / k) + k)`` planarity tests instead of the
 greedy loop's one test per edge per pass, so the cost now follows the
 *witness*, not the host: instances whose injected crossing edges close a
-short core resolve in well under a second at ``n = 1000``, and the
-committed BENCH_engine instances — whose cores thread ``~100``-edge
-subdivided paths through the triangulation — dropped from ~35 s to ~9 s
-(see the ``kuratowski_minimiser`` section).  The in-place greedy minimiser
+short core resolve in well under a second at ``n = 1000``, and
+planar-plus-random-edges instances whose cores thread ``~100``-edge
+subdivided paths through the triangulation dropped from ~35 s to ~9 s at
+``n = 1000`` when this replaced the greedy loop.  The in-place greedy minimiser
 on the backend's mutable view and the portable greedy deletion loop remain
 as fallbacks for cores the validator cannot classify and for foreign
 backends.

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.analysis.experiments import (
     auxiliary_schemes_experiment,
     certificate_size_fit,
@@ -20,7 +18,6 @@ from repro.analysis.experiments import (
     comparison_experiment,
     completeness_experiment,
     lower_bound_table,
-    runtime_experiment,
     soundness_experiment,
     upper_vs_lower_bound_table,
 )
@@ -102,11 +99,6 @@ class TestExperimentDrivers:
     def test_upper_vs_lower_rows(self):
         rows = upper_vs_lower_bound_table(sizes=[24, 48])
         assert all(row["upper_bound_max_bits"] >= row["lower_bound_bits"] for row in rows)
-
-    def test_runtime_rows(self):
-        rows = runtime_experiment(sizes=[30, 60])
-        assert all(row["accepted"] for row in rows)
-        assert all(row["prover_seconds"] >= 0 for row in rows)
 
     def test_auxiliary_rows(self):
         rows = auxiliary_schemes_experiment(n=20)

@@ -24,8 +24,8 @@ from repro.distributed.verifier import certify_and_verify, run_verification
 from repro.exceptions import NotInClassError
 from repro.graphs.generators import (
     complete_graph,
+    delaunay_planar_graph,
     grid_graph,
-    path_graph,
     petersen_graph,
     planar_plus_random_edges,
     random_apollonian_network,
@@ -137,7 +137,7 @@ class TestDMAMProtocol:
         protocol = PlanarityDMAMProtocol()
         network = Network(petersen_graph(), seed=8)
         with pytest.raises(NotInClassError):
-            protocol.merlin_first(network)
+            protocol.first_turn(network)
 
     def test_message_sizes_logarithmic_on_bounded_degree_graphs(self):
         """Per-node Merlin messages are O((1 + deg_T) log n); on bounded-degree
@@ -155,10 +155,11 @@ class TestDMAMProtocol:
         protocol = PlanarityDMAMProtocol()
         graph = random_planar_graph(20, seed=10)
         network = Network(graph, seed=10)
-        first = protocol.merlin_first(network)
+        turn = protocol.first_turn(network)
+        first = turn.messages
         rng = random.Random(10)
         challenges = protocol.draw_challenges(network, rng)
-        second = protocol.merlin_second(network, first, challenges)
+        second = protocol.second_turn(network, turn, challenges)
         forged = {node: DMAMSecondMessage(
             global_point=(message.global_point + 1) % FIELD_PRIME,
             push_product_subtree=message.push_product_subtree,
@@ -173,9 +174,10 @@ class TestDMAMProtocol:
         protocol = PlanarityDMAMProtocol()
         graph = random_apollonian_network(18, seed=11)
         network = Network(graph, seed=11)
-        first = protocol.merlin_first(network)
+        turn = protocol.first_turn(network)
+        first = turn.messages
         challenges = protocol.draw_challenges(network, random.Random(11))
-        second = protocol.merlin_second(network, first, challenges)
+        second = protocol.second_turn(network, turn, challenges)
         victim = next(iter(second))
         second[victim] = dataclasses.replace(
             second[victim],
@@ -184,6 +186,29 @@ class TestDMAMProtocol:
                                               dishonest_first=first,
                                               dishonest_second=second)
         assert not transcript.accepted
+
+    def test_first_message_without_second_refused(self):
+        """A fixed first message with no second one is a ValueError in both
+        runners and in the soundness estimator, whether the protocol is fresh
+        or last served another network: the honest second turn answers only
+        the honest first turn, never a caller's first message."""
+        from repro.distributed.engine import SimulationEngine
+
+        network = Network(delaunay_planar_graph(30, seed=1), seed=1)
+        other = Network(delaunay_planar_graph(40, seed=2), seed=2)
+        first = PlanarityDMAMProtocol().first_turn(network).messages
+        served_other = PlanarityDMAMProtocol()
+        served_other.first_turn(other)
+        for protocol in (PlanarityDMAMProtocol(), served_other):
+            with pytest.raises(ValueError, match="second"):
+                run_interactive_protocol(protocol, network, seed=12,
+                                         dishonest_first=first)
+            with pytest.raises(ValueError, match="second"):
+                SimulationEngine().run_interactive(protocol, network, seed=12,
+                                                   dishonest_first=first)
+            with pytest.raises(ValueError, match="second"):
+                SimulationEngine().estimate_soundness_error(
+                    protocol, network, 2, seed=12, first=first)
 
     def test_comparison_table(self):
         rows = compare_schemes_on(random_apollonian_network(24, seed=13),

@@ -145,7 +145,9 @@ class TestDynamicAuditorPlanarity:
             auditor.apply_event("remove_edge", u, v)
             report = auditor.apply_event("add_edge", u, v)
             assert report.member
-            assert auditor.decisions == reference_decisions(auditor)
+            reference = reference_decisions(auditor)
+            assert auditor.decisions == reference
+            assert report.accept_all == auditor.accepts_all == all(reference.values())
             if report.fallback:
                 chords = cotree_pairs(auditor)
         assert auditor.accepts_all
@@ -185,10 +187,15 @@ class TestDynamicAuditorPlanarity:
         landed = auditor.apply_event("add_edge", u, v)
         assert not landed.member
         assert landed.alarms  # the audit flags the link the epoch it lands
-        assert auditor.decisions == reference_decisions(auditor)
+        reference = reference_decisions(auditor)
+        assert auditor.decisions == reference
+        # the running count of rejecting nodes agrees with a full scan
+        assert landed.accept_all == auditor.accepts_all == all(reference.values())
         report = auditor.apply_event("remove_edge", u, v)
         assert report.accept_all and not report.alarms
-        assert auditor.decisions == reference_decisions(auditor)
+        reference = reference_decisions(auditor)
+        assert auditor.decisions == reference
+        assert report.accept_all == auditor.accepts_all == all(reference.values())
 
     def test_journal_truncation_re_decides_everything(self):
         network = Network(delaunay_planar_graph(40, seed=6), seed=6)

@@ -22,7 +22,6 @@ from repro.distributed.network import Network
 from repro.distributed.verifier import certify_and_verify, run_verification
 from repro.exceptions import GraphError, NotInClassError
 from repro.graphs.generators import complete_bipartite_graph, complete_graph, cycle_graph, path_graph
-from repro.graphs.graph import Graph
 
 
 # ----------------------------------------------------------------------

@@ -800,9 +800,10 @@ class TestInteractiveRoundKernel:
 
         proto = default_registry().create("planarity-dmam")
         network = Network(delaunay_planar_graph(14, seed=4), seed=4)
+        turn = proto.first_turn(network)
 
         def strategy(net, first, challenges):
-            second = proto.merlin_second(net, first, challenges)
+            second = proto.second_turn(net, turn, challenges)
             victim = sorted(second, key=repr)[0]
             message = second[victim]
             second[victim] = DMAMSecondMessage(
