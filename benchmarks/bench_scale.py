@@ -7,9 +7,9 @@ Two sections, one committed ``BENCH_scale.json``:
   backend with tracing on.  The sweep must finish with *zero* fallback
   (every node decided by a kernel), every node accepting, and the
   streamed compile path engaged (``compile/chunk`` spans, bounded
-  staging lists); the payload records wall-clock per phase and the
-  process peak RSS so the memory claim is a committed number, not a
-  slogan.
+  staging lists); the payload records wall-clock per phase, the largest
+  certificate in bits (Theorem 1's measure) and the process peak RSS so
+  the memory claim is a committed number, not a slogan.
 
 * **trial pool** — prove/verify trial legs fanned out through
   :meth:`SimulationEngine.run_trials` serially and with workers=2/4
@@ -108,6 +108,7 @@ def run_scale_sweep(n: int) -> dict[str, Any]:
         "prove_seconds": round(prove_seconds, 3),
         "verify_seconds": round(verify_seconds, 3),
         "all_accept": True,
+        "max_certificate_bits": result.max_certificate_bits,
         "kernel_calls": counters["kernel_calls"],
         "kernel_nodes": counters["kernel_nodes"],
         "fallback_nodes": 0,

@@ -49,7 +49,7 @@ from repro.core.planarity_scheme import (
     reconstruct_local_structure,
 )
 from repro.core.building_blocks import spanning_tree_labels
-from repro.distributed.certificates import BitWriter, Encodable
+from repro.distributed.certificates import BitWriter, Encodable, encode_nested
 from repro.distributed.interactive import FirstTurn, InteractiveProtocol
 from repro.distributed.network import LocalView, Network
 from repro.exceptions import NotInClassError
@@ -131,7 +131,7 @@ class DMAMFirstMessage(Encodable):
     stack_heights: tuple[tuple[int, int], ...]   # (copy index, height after the step)
 
     def encode(self, writer: BitWriter) -> None:
-        self.structure.encode(writer)
+        encode_nested(writer, self.structure)
         writer.write_uint(len(self.stack_heights))
         for index, height in self.stack_heights:
             writer.write_uint(index)

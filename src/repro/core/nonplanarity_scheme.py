@@ -28,7 +28,7 @@ from repro.core.building_blocks import (
     check_spanning_tree_label,
     spanning_tree_labels,
 )
-from repro.distributed.certificates import BitWriter, Encodable
+from repro.distributed.certificates import BitWriter, Encodable, encode_nested
 from repro.distributed.network import LocalView, Network
 from repro.distributed.scheme import ProofLabelingScheme
 from repro.exceptions import NotInClassError
@@ -119,12 +119,12 @@ class NonPlanarityCertificate(Encodable):
         writer.write_uint(len(self.branch_ids))
         for identifier in self.branch_ids:
             writer.write_uint(identifier)
-        self.spanning_tree.encode(writer)
+        encode_nested(writer, self.spanning_tree)
         if self.role is None:
             writer.write_bool(False)
         else:
             writer.write_bool(True)
-            self.role.encode(writer)
+            encode_nested(writer, self.role)
 
 
 class NonPlanarityScheme(ProofLabelingScheme):

@@ -43,7 +43,7 @@ from repro.core.dfs_mapping import (
 )
 from repro.core.path_outerplanar import compute_covering_intervals
 from repro.core.po_scheme import algorithm1_check
-from repro.distributed.certificates import BitWriter, Encodable
+from repro.distributed.certificates import BitWriter, Encodable, encode_nested
 from repro.distributed.network import LocalView, Network
 from repro.distributed.scheme import ProofLabelingScheme
 from repro.exceptions import NotInClassError, NotPlanarError
@@ -51,6 +51,7 @@ from repro.graphs.degeneracy import assign_edges_by_degeneracy
 from repro.graphs.graph import Graph, Node, edge_key
 from repro.graphs.planarity import compute_planar_embedding, is_planar
 from repro.graphs.spanning_tree import RootedTree
+from repro.observability.tracer import current as current_tracer
 
 __all__ = [
     "MAX_EDGE_CERTIFICATES_PER_NODE",
@@ -187,10 +188,10 @@ class PlanarityCertificate(Encodable):
     edge_certificates: tuple[EdgeCertificate, ...]
 
     def encode(self, writer: BitWriter) -> None:
-        self.spanning_tree.encode(writer)
+        encode_nested(writer, self.spanning_tree)
         writer.write_uint(len(self.edge_certificates))
         for certificate in self.edge_certificates:
-            certificate.encode(writer)
+            encode_nested(writer, certificate)
 
 
 # ----------------------------------------------------------------------
@@ -230,20 +231,31 @@ class PlanarityScheme(ProofLabelingScheme):
 
     def prove(self, network: Network) -> dict[Node, PlanarityCertificate]:
         graph = network.graph
-        # Compute the embedding once: it both answers membership and feeds
-        # cut_open, so the prover runs a single planarity test per network
-        # instead of two (the full test dominates proving time at large n).
-        try:
-            rotation = compute_planar_embedding(graph, backend=self.embedding_backend)
-        except NotPlanarError:
-            raise NotInClassError("the network is not planar") from None
-        tree: RootedTree | None = None
-        if self.spanning_tree_builder is not None:
-            root = self.root if self.root is not None else next(iter(graph.nodes()))
-            tree = self.spanning_tree_builder(graph, root)
-        decomposition = cut_open(graph, rotation=rotation, tree=tree, root=self.root,
-                                 embedding_backend=self.embedding_backend)
-        return self._certificates_from_decomposition(network, decomposition)
+        tracer = current_tracer()
+        with tracer.span("prove") as sp:
+            if sp:
+                sp.set(scheme=self.name, nodes=network.size)
+            # Compute the embedding once: it both answers membership and
+            # feeds cut_open, so the prover runs a single planarity test per
+            # network instead of two (the full test dominates proving time
+            # at large n).
+            with tracer.span("prove/embedding"):
+                try:
+                    rotation = compute_planar_embedding(
+                        graph, backend=self.embedding_backend)
+                except NotPlanarError:
+                    raise NotInClassError("the network is not planar") from None
+            with tracer.span("prove/cut_open"):
+                tree: RootedTree | None = None
+                if self.spanning_tree_builder is not None:
+                    root = (self.root if self.root is not None
+                            else next(iter(graph.nodes())))
+                    tree = self.spanning_tree_builder(graph, root)
+                decomposition = cut_open(graph, rotation=rotation, tree=tree,
+                                         root=self.root,
+                                         embedding_backend=self.embedding_backend)
+            with tracer.span("prove/assembly"):
+                return self._certificates_from_decomposition(network, decomposition)
 
     def _certificates_from_decomposition(
             self, network: Network,

@@ -30,7 +30,7 @@ from repro.core.path_outerplanar import (
     find_path_outerplanar_witness,
     is_path_outerplanar_witness,
 )
-from repro.distributed.certificates import BitWriter, Encodable
+from repro.distributed.certificates import BitWriter, Encodable, encode_nested
 from repro.distributed.network import LocalView, Network
 from repro.distributed.scheme import ProofLabelingScheme
 from repro.exceptions import NotInClassError
@@ -59,7 +59,7 @@ class PathOuterplanarLabel(Encodable):
         return self.path.total
 
     def encode(self, writer: BitWriter) -> None:
-        self.path.encode(writer)
+        encode_nested(writer, self.path)
         writer.write_uint(self.interval[0])
         writer.write_uint(self.interval[1])
 

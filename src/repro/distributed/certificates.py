@@ -7,6 +7,13 @@ serialised to an actual bit string through a :class:`BitWriter`; sizes
 reported by the experiments are the lengths of these encodings, not Python
 ``sys.getsizeof`` artefacts.
 
+Each certificate type has exactly one ``encode`` method.  Reported sizes run
+that method against a :class:`BitCounter`, which counts exactly the bits a
+:class:`BitWriter` would write (``2 * bit_length(v + 1) - 1`` for a gamma
+code) in O(1) per field instead of appending them one at a time.
+:class:`BitWriter` and :class:`BitReader` stay as the round-trip oracle the
+tests hold the counter to.
+
 The encoding convention is deliberately simple and self-delimiting:
 
 * unsigned integers are written as Elias-gamma-style ``(length, value)``
@@ -27,7 +34,8 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import CertificateError
 
-__all__ = ["BitWriter", "BitReader", "Encodable", "encoded_size_bits"]
+__all__ = ["BitWriter", "BitCounter", "BitReader", "Encodable", "encode_nested",
+           "encoded_size_bits"]
 
 
 @dataclass
@@ -96,6 +104,49 @@ class BitWriter:
         return len(self.bits)
 
 
+class BitCounter:
+    """Counts the bits :class:`BitWriter` would write, storing none of them.
+
+    It has :class:`BitWriter`'s ``write_*`` methods and range checks, and it
+    also refuses a field that is not an int: a payload whose fields
+    :class:`BitWriter` cannot encode (``None`` where an int belongs, a
+    string) raises :class:`~repro.exceptions.CertificateError` here rather
+    than whatever its comparison or ``bit_length`` call would raise.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self) -> None:
+        self.bits = 0
+
+    def write_bit(self, bit: int) -> None:
+        self.bits += 1
+
+    def write_fixed_uint(self, value: int, width: int) -> None:
+        if not isinstance(value, int) or value < 0 or value >= (1 << width):
+            raise CertificateError(f"value {value!r} does not fit in {width} bits")
+        self.bits += width
+
+    def write_uint(self, value: int) -> None:
+        if not isinstance(value, int) or value < 0:
+            raise CertificateError(
+                f"write_uint expects a non-negative integer, got {value!r}")
+        self.bits += 2 * (value + 1).bit_length() - 1
+
+    def write_int(self, value: int) -> None:
+        if not isinstance(value, int):
+            raise CertificateError(f"write_int expects an integer, got {value!r}")
+        self.bits += 2 * (abs(value) + 1).bit_length()
+
+    def write_bool(self, value: bool) -> None:
+        self.bits += 1
+
+    def write_optional_uint(self, value: int | None) -> None:
+        self.bits += 1
+        if value is not None:
+            self.write_uint(value)
+
+
 class BitReader:
     """Decodes values written by :class:`BitWriter` (used in round-trip tests)."""
 
@@ -141,14 +192,32 @@ class Encodable:
     """Mixin for certificate objects that can report their exact bit size."""
 
     def encode(self, writer: BitWriter) -> None:  # pragma: no cover - interface
-        """Write this object's content into ``writer``."""
+        """Write this object's content into ``writer``.
+
+        ``writer`` is a :class:`BitWriter`, or the :class:`BitCounter` that
+        :meth:`size_bits` passes.
+        """
         raise NotImplementedError
 
     def size_bits(self) -> int:
         """Return the exact number of bits of this object's encoding."""
-        writer = BitWriter()
-        self.encode(writer)
-        return writer.bit_length()
+        counter = BitCounter()
+        self.encode(counter)
+        return counter.bits
+
+
+def encode_nested(writer: BitWriter | BitCounter, value: object) -> None:
+    """Write the nested certificate ``value`` into ``writer``.
+
+    Composite certificates encode their parts through this call, so a part
+    that is not :class:`Encodable` (``None``, an int, a string) raises
+    :class:`~repro.exceptions.CertificateError` instead of an
+    ``AttributeError`` from a missing ``encode``.
+    """
+    if not isinstance(value, Encodable):
+        raise CertificateError(
+            f"nested payload of type {type(value).__name__} has no encoding")
+    value.encode(writer)
 
 
 def encoded_size_bits(obj: object) -> int:
@@ -165,7 +234,7 @@ def encoded_size_bits(obj: object) -> int:
     if isinstance(obj, bool):
         return 1
     if isinstance(obj, int):
-        writer = BitWriter()
-        writer.write_int(obj)
-        return writer.bit_length()
+        counter = BitCounter()
+        counter.write_int(obj)
+        return counter.bits
     raise CertificateError(f"cannot account for the size of object of type {type(obj)!r}")

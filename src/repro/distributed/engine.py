@@ -969,12 +969,15 @@ class SimulationEngine:
         would retain every trial's dictionary).
         """
         state = self._state(network)
-        if not any(certs is certificates for certs in state.honest.values()):
-            return certificate_statistics(certificates)
-        stats = state.sizes.get(id(certificates))
+        honest = any(certs is certificates for certs in state.honest.values())
+        stats = state.sizes.get(id(certificates)) if honest else None
         if stats is None:
-            stats = certificate_statistics(certificates)
-            state.sizes[id(certificates)] = stats
+            with current_tracer().span("size_accounting") as sp:
+                if sp:
+                    sp.set(nodes=len(certificates))
+                stats = certificate_statistics(certificates)
+            if honest:
+                state.sizes[id(certificates)] = stats
         return stats
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Any
 from repro.distributed.certificates import encoded_size_bits
 from repro.distributed.network import Network
 from repro.distributed.scheme import ProofLabelingScheme
+from repro.exceptions import CertificateError
 from repro.graphs.graph import Graph, Node
 
 __all__ = ["VerificationResult", "run_verification", "certify_and_verify", "certificate_statistics"]
@@ -83,16 +84,21 @@ def certificate_statistics(certificates: dict[Node, Any]) -> dict[Node, int]:
     """Return the exact encoded size in bits of each certificate.
 
     Certificates produced by the honest provers are always
-    :class:`~repro.distributed.certificates.Encodable`; adversarial
-    experiments may inject arbitrary objects, which are accounted for with a
-    generous textual estimate rather than rejected, so that soundness attacks
-    never fail on bookkeeping.
+    :class:`~repro.distributed.certificates.Encodable`, and their size is
+    the length of their encoding.  Adversarial experiments may inject
+    payloads that have no encoding: an object that is not ``Encodable``, a
+    field that is not a non-negative int (``None``, a negative number), or
+    a nested certificate that is not ``Encodable``.  Sizing such a payload
+    raises :class:`~repro.exceptions.CertificateError`, and its size is
+    defined as ``8 * len(repr(cert))`` bits, so that soundness attacks never
+    fail on bookkeeping.  Any other exception is a bug in an encoder and
+    propagates.
     """
     sizes: dict[Node, int] = {}
     for node, cert in certificates.items():
         try:
             sizes[node] = encoded_size_bits(cert)
-        except Exception:
+        except CertificateError:
             sizes[node] = 8 * len(repr(cert))
     return sizes
 

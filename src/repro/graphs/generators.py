@@ -214,13 +214,9 @@ def delaunay_planar_graph(n: int, seed: int | None = None) -> Graph:
 
     points = np.array([[rng.random(), rng.random()] for _ in range(n)])
     triangulation = Delaunay(points)
-    graph = Graph(nodes=range(n))
-    for simplex in triangulation.simplices:
-        a, b, c = (int(x) for x in simplex)
-        graph.add_edge(a, b)
-        graph.add_edge(b, c)
-        graph.add_edge(a, c)
-    return graph
+    return Graph(nodes=range(n),
+                 edges=(edge for a, b, c in triangulation.simplices.tolist()
+                        for edge in ((a, b), (b, c), (a, c))))
 
 
 def random_maximal_outerplanar_graph(n: int, seed: int | None = None) -> Graph:

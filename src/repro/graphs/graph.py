@@ -104,12 +104,25 @@ class Graph:
         # exactly one entry, so ``deltas_since`` is a pure slice.
         self._journal: list[GraphDelta] = []
         self._journal_base = 0
+        # Construction is not a mutation: ``_adj`` is filled in the order
+        # ``add_node``/``add_edge`` would fill it, but no reader can hold a
+        # version of a graph still being built, so the new graph starts at
+        # version 0 with an empty journal.
+        adj = self._adj
         if nodes is not None:
             for node in nodes:
-                self.add_node(node)
+                if node not in adj:
+                    adj[node] = set()
         if edges is not None:
             for u, v in edges:
-                self.add_edge(u, v)
+                if u == v:
+                    raise GraphError(f"self-loops are not allowed (node {u!r})")
+                if u not in adj:
+                    adj[u] = set()
+                if v not in adj:
+                    adj[v] = set()
+                adj[u].add(v)
+                adj[v].add(u)
 
     # ------------------------------------------------------------------
     # construction
@@ -351,11 +364,4 @@ class Graph:
     @classmethod
     def from_networkx(cls, nxg: Any) -> "Graph":
         """Build a :class:`Graph` from a :class:`networkx.Graph`."""
-        graph = cls(nodes=nxg.nodes())
-        graph.add_edges_from(nxg.edges())
-        return graph
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[Edge]) -> "Graph":
-        """Build a graph from an edge list."""
-        return cls(edges=edges)
+        return cls(nodes=nxg.nodes(), edges=nxg.edges())

@@ -47,6 +47,57 @@ class TestConstruction:
         assert graph.number_of_nodes() == 1
 
 
+class TestConstructionIsNotAMutation:
+    """``Graph(nodes=, edges=)`` fills the adjacency without journaling."""
+
+    def test_constructed_graph_starts_at_version_zero(self):
+        graph = Graph(nodes=[5], edges=[(0, 1), (1, 2), (2, 1)])
+        assert graph._version == 0
+        assert graph.deltas_since(0) == ()
+        graph.add_edge(2, 3)  # a mutation after construction journals
+        assert [delta.op for delta in graph.deltas_since(0)] == ["add_node", "add_edge"]
+
+    def test_constructor_rejects_self_loops(self):
+        with pytest.raises(GraphError, match="self-loops"):
+            Graph(edges=[(1, 2), (3, 3)])
+
+    @given(st.lists(st.integers(0, 12), max_size=8),
+           st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12))
+                    .filter(lambda edge: edge[0] != edge[1]), max_size=40))
+    def test_same_adjacency_order_as_add_edge(self, nodes, edges):
+        built = Graph()
+        for node in nodes:
+            built.add_node(node)
+        for u, v in edges:
+            built.add_edge(u, v)
+        constructed = Graph(nodes=nodes, edges=edges)
+        assert ([(u, list(vs)) for u, vs in constructed._adj.items()]
+                == [(u, list(vs)) for u, vs in built._adj.items()])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_delaunay_adjacency_order_matches_add_edge_build(self, seed):
+        import random
+
+        import numpy as np
+        from scipy.spatial import Delaunay
+
+        from repro.graphs.generators import delaunay_planar_graph
+
+        n = 80
+        graph = delaunay_planar_graph(n, seed=seed)
+        assert graph._version == 0 and graph.deltas_since(0) == ()
+        rng = random.Random(seed)
+        points = np.array([[rng.random(), rng.random()] for _ in range(n)])
+        built = Graph(nodes=range(n))
+        for simplex in Delaunay(points).simplices:
+            a, b, c = (int(x) for x in simplex)
+            built.add_edge(a, b)
+            built.add_edge(b, c)
+            built.add_edge(a, c)
+        assert ([(u, list(vs)) for u, vs in graph._adj.items()]
+                == [(u, list(vs)) for u, vs in built._adj.items()])
+
+
 class TestQueries:
     def test_degree_and_neighbors(self):
         graph = Graph(edges=[(1, 2), (1, 3), (1, 4)])

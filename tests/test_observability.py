@@ -233,6 +233,42 @@ class TestBalancedSpansFuzz:
             "scheme": "planarity-pls", "reason": "no_kernel"}
 
 
+class TestProverAndSizeSpans:
+    PROVER_PHASES = ("prove/embedding", "prove/cut_open", "prove/assembly")
+
+    def _certify_and_verify(self):
+        engine = SimulationEngine(seed=4, backend="vectorized")
+        scheme = _scheme("planarity-pls")
+        network = Network(delaunay_planar_graph(30, seed=4), seed=4)
+        certificates = engine.certify(scheme, network)
+        for _ in range(2):  # the second verify reuses the cached sizes
+            engine.verify(scheme, network, certificates)
+
+    def test_traced_certify_and_verify_records_prover_and_size_spans(self, traced):
+        self._certify_and_verify()
+        _assert_trace_integrity(traced)
+        by_name: dict[str, list] = {}
+        for span in traced.spans:
+            by_name.setdefault(span.name, []).append(span)
+        (prove,) = by_name["prove"]
+        assert prove.attributes == {"scheme": "planarity-pls", "nodes": 30}
+        phases = [by_name[name] for name in self.PROVER_PHASES]
+        assert all(len(spans) == 1 for spans in phases)
+        phases = [spans[0] for spans in phases]
+        assert all(span.parent_id == prove.span_id for span in phases)
+        assert all(earlier.end <= later.start
+                   for earlier, later in zip(phases, phases[1:]))
+        assert prove.start <= phases[0].start and phases[-1].end <= prove.end
+        (sizing,) = by_name["size_accounting"]
+        assert sizing.attributes == {"nodes": 30}
+        assert sizing.start >= prove.end
+
+    def test_untraced_run_records_no_span(self):
+        assert not current().enabled
+        self._certify_and_verify()
+        assert current().spans == []
+
+
 # ---------------------------------------------------------------------------
 # cross-process aggregation (satellite 3)
 # ---------------------------------------------------------------------------
