@@ -8,6 +8,12 @@ counts on its own, so ``"repro.graphs.graph"`` plus ``"Graph.add_edge"``
 ``Graph``, ``add_edge`` and every module part.  Prose and docstrings
 contain whitespace and reach nothing.
 
+Every ``def`` in the body of a top-level class (methods, properties,
+classmethods; dunders excepted) is checked the same way, but only three
+uses reach a member: an attribute ``x.name``, a whitespace-free string, and
+a bare name in the class's own body (``add_edge = _refuse``).  A bare name
+anywhere else is some other variable, not the member.
+
 The searched files are ``benchmarks/``, ``examples/``, ``scripts/`` (this
 script excepted), ``perfbench/`` and ``src/``.  Inside ``src/`` three kinds
 of use do not count, because they keep code alive without running it: the
@@ -17,8 +23,9 @@ statements, and the imports of a package ``__init__.py`` (re-exports).
 ``tests/``, and a definition only its own tests reach is dead code.
 
 ``ALLOWLIST`` names the few definitions kept on purpose anyway, each with
-its reason; an entry that is reached anyway, or no longer defined, fails
-the check too.  Run from anywhere::
+its reason (an allowlisted class covers its members); an entry that is
+reached anyway, or no longer defined, fails the check too.  Run from
+anywhere::
 
     python scripts/check_reachability.py
 """
@@ -44,6 +51,9 @@ ALLOWLIST = {
     "repro.distributed.certificates.BitReader":
         "decoder half of the certificate codec; tests decode BitWriter output "
         "with it to show every code round-trips",
+    "repro.distributed.shm.SharedArtifact.detach":
+        "the release half of the documented attach/detach lifecycle; "
+        "tests/test_shm.py counts the attachments it balances",
     "repro.adversary.strategies.AdversaryStrategy":
         "the protocol docs/ADVERSARY.md documents for user-written strategies",
     "repro.adversary.attacks.exhaustive_attack":
@@ -70,10 +80,27 @@ def module_name(path: Path) -> str:
     return ".".join(parts)
 
 
-def definitions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef]:
-    for node in tree.body:
+Definition = ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
+
+
+def definitions(body: list[ast.stmt]) -> Iterator[Definition]:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node
+
+
+def members(cls: ast.ClassDef) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """The class body's ``def``s, dunders excepted."""
+    for node in definitions(cls.body):
+        if not isinstance(node, ast.ClassDef) and not (
+                node.name.startswith("__") and node.name.endswith("__")):
+            yield node
+
+
+def class_body_names(cls: ast.ClassDef) -> set[str]:
+    """Bare names the class body uses outside its ``def``s and nested classes."""
+    return {name for node in cls.body if not isinstance(node, Definition)
+            for name, bare in uses(node, package_init=False) if bare}
 
 
 def is_all_statement(node: ast.AST) -> bool:
@@ -88,23 +115,24 @@ def is_all_statement(node: ast.AST) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def used_names(root: ast.AST, package_init: bool) -> Iterator[str]:
-    """Every name ``root`` uses, one item per use."""
+def uses(root: ast.AST, package_init: bool) -> Iterator[tuple[str, bool]]:
+    """Every name ``root`` uses, one item per use, paired with whether the
+    use is a bare name or an import (which cannot reach a class member)."""
     stack = [root]
     while stack:
         node = stack.pop()
         if is_all_statement(node):
             continue
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, False
         elif isinstance(node, ast.ImportFrom):
             if not package_init:
-                yield from (alias.name for alias in node.names)
+                yield from ((alias.name, True) for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if not any(ch.isspace() for ch in node.value):
-                yield from _IDENTIFIER.findall(node.value)
+                yield from ((name, False) for name in _IDENTIFIER.findall(node.value))
         stack.extend(ast.iter_child_nodes(node))
 
 
@@ -112,36 +140,58 @@ def main() -> int:
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in python_files(SRC)}
 
+    # every use outside src/ and in src/, split into all uses and the
+    # attribute or string uses that can reach a class member
     outside: set[str] = set()
+    outside_members: set[str] = set()
     for directory in USER_DIRS:
         for path in python_files(ROOT / directory):
             if path == SELF:
                 continue  # the allowlist names what it keeps; that is no use
             tree = ast.parse(path.read_text(), filename=str(path))
-            outside.update(used_names(tree, package_init=False))
-
-    # a definition is reached from src/ when src/ uses its name more often
-    # than the definition's own body does
+            for name, bare in uses(tree, package_init=False):
+                outside.add(name)
+                if not bare:
+                    outside_members.add(name)
     in_src: Counter[str] = Counter()
+    in_src_members: Counter[str] = Counter()
     for path, tree in trees.items():
-        in_src.update(used_names(tree, package_init=path.name == "__init__.py"))
+        for name, bare in uses(tree, package_init=path.name == "__init__.py"):
+            in_src[name] += 1
+            if not bare:
+                in_src_members[name] += 1
 
     defined: set[str] = set()
     failures: list[str] = []
+
+    def check(path: Path, definition: Definition, qualified: str, reached: bool) -> None:
+        defined.add(qualified)
+        where = f"{path.relative_to(ROOT)}:{definition.lineno}: {qualified}"
+        if not reached and qualified not in ALLOWLIST:
+            failures.append(f"unreached outside tests: {where}")
+        elif reached and qualified in ALLOWLIST:
+            failures.append(f"allowlisted but reached (drop the entry): {where}")
+
+    # a definition is reached from src/ when src/ uses its name more often
+    # than the definition's own body does
     for path, tree in trees.items():
         module = module_name(path)
         package_init = path.name == "__init__.py"
-        for definition in definitions(tree):
-            qualified = f"{module}.{definition.name}"
-            defined.add(qualified)
-            own = sum(1 for name in used_names(definition, package_init)
-                      if name == definition.name)
-            reached = definition.name in outside or in_src[definition.name] > own
-            where = f"{path.relative_to(ROOT)}:{definition.lineno}: {qualified}"
-            if not reached and qualified not in ALLOWLIST:
-                failures.append(f"unreached outside tests: {where}")
-            elif reached and qualified in ALLOWLIST:
-                failures.append(f"allowlisted but reached (drop the entry): {where}")
+        for definition in definitions(tree.body):
+            name = definition.name
+            qualified = f"{module}.{name}"
+            own = sum(1 for used, _ in uses(definition, package_init) if used == name)
+            check(path, definition, qualified,
+                  name in outside or in_src[name] > own)
+            if not isinstance(definition, ast.ClassDef) or qualified in ALLOWLIST:
+                continue
+            aliased = class_body_names(definition)
+            for member in members(definition):
+                own = sum(1 for used, bare in uses(member, package_init)
+                          if used == member.name and not bare)
+                check(path, member, f"{qualified}.{member.name}",
+                      member.name in outside_members or member.name in aliased
+                      or in_src_members[member.name] > own)
     failures.extend(f"allowlisted but not defined: {name}"
                     for name in sorted(set(ALLOWLIST) - defined))
 
@@ -149,8 +199,8 @@ def main() -> int:
         print(failure)
     if failures:
         return 1
-    print(f"reachability ok: every top-level definition in src/ is used outside tests "
-          f"({len(ALLOWLIST)} allowlisted)")
+    print(f"reachability ok: every top-level definition and class member in src/ "
+          f"is used outside tests ({len(ALLOWLIST)} allowlisted)")
     return 0
 
 

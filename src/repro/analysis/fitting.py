@@ -26,11 +26,6 @@ class ScalingFit:
     intercept: float
     r_squared: float
 
-    def predict(self, n: int) -> float:
-        """Return the fitted value at ``n``."""
-        value = math.log2(n) if self.basis == "log2(n)" else 1.0 / n
-        return self.slope * value + self.intercept
-
 
 def _least_squares(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
     n = len(xs)

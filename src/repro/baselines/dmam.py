@@ -160,18 +160,16 @@ class PlanarityDMAMProtocol(InteractiveProtocol):
     randomized = True
     challenge_bits = 61
 
-    def __init__(self, embedding_backend: str = "networkx",
-                 field_prime: int = FIELD_PRIME) -> None:
+    def __init__(self, field_prime: int = FIELD_PRIME) -> None:
         if field_prime < 2:
             raise ValueError("field_prime must be a prime >= 2")
-        self.embedding_backend = embedding_backend
         #: fingerprint field size; the soundness error scales as ``m / p``,
         #: so experiments shrink it deliberately to make the error measurable
         self.field_prime = field_prime
 
     # ------------------------------------------------------------------
     def is_member(self, graph: Graph) -> bool:
-        return is_planar(graph, backend=self.embedding_backend)
+        return is_planar(graph)
 
     # ------------------------------------------------------------------
     # Merlin, turn 1
@@ -187,7 +185,7 @@ class PlanarityDMAMProtocol(InteractiveProtocol):
         graph = network.graph
         if not self.is_member(graph):
             raise NotInClassError("the network is not planar")
-        decomposition = cut_open(graph, embedding_backend=self.embedding_backend)
+        decomposition = cut_open(graph)
         messages = self.messages_from_decomposition(network, decomposition)
         return FirstTurn(messages=messages, state=decomposition)
 
@@ -346,7 +344,7 @@ class PlanarityDMAMProtocol(InteractiveProtocol):
             ball=first_view.ball,
             radius=first_view.radius,
         )
-        structure = reconstruct_local_structure(structural_view, enforce_certificate_cap=True)
+        structure = reconstruct_local_structure(structural_view)
         if structure is None:
             return _REJECT
         if structure.is_single_node:

@@ -41,9 +41,7 @@ class GraphMapCertificate(Encodable):
 
     def to_graph(self) -> Graph:
         """Materialise the map as a graph on the identifiers."""
-        graph = Graph(nodes=self.node_ids)
-        graph.add_edges_from(self.edges)
-        return graph
+        return Graph(nodes=self.node_ids, edges=self.edges)
 
     def neighbors_of(self, identifier: int) -> set[int]:
         """Return the neighbor identifiers of ``identifier`` according to the map."""
@@ -61,11 +59,8 @@ class UniversalPlanarityScheme(ProofLabelingScheme):
 
     name = "universal-map-pls"
 
-    def __init__(self, backend: str = "networkx") -> None:
-        self.backend = backend
-
     def is_member(self, graph: Graph) -> bool:
-        return is_planar(graph, backend=self.backend)
+        return is_planar(graph)
 
     def prove(self, network: Network) -> dict[Node, GraphMapCertificate]:
         if not self.is_member(network.graph):
@@ -91,4 +86,4 @@ class UniversalPlanarityScheme(ProofLabelingScheme):
         if own.neighbors_of(view.center_id) != set(view.neighbor_ids):
             return False
         # the map describes a planar graph
-        return is_planar(own.to_graph(), backend=self.backend)
+        return is_planar(own.to_graph())

@@ -89,11 +89,6 @@ class TreeEdgeImage:
     descend_index: int
     return_index: int
 
-    def path_edges(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Return the two path edges as index pairs."""
-        return ((self.descend_index, self.descend_index + 1),
-                (self.return_index, self.return_index + 1))
-
 
 @dataclass
 class DFSMapping:
@@ -108,14 +103,6 @@ class DFSMapping:
     def path_length(self) -> int:
         """Return ``2n - 1``, the number of indices."""
         return len(self.f)
-
-    def first_copy(self, node: Node) -> int:
-        """Return ``f^{-1}_min(node)`` (first visit)."""
-        return self.copies[node][0]
-
-    def last_copy(self, node: Node) -> int:
-        """Return ``f^{-1}_max(node)`` (last visit)."""
-        return self.copies[node][-1]
 
 
 @dataclass
@@ -145,9 +132,7 @@ class PlanarCutDecomposition:
 
     def induced_graph(self) -> Graph:
         """Return ``G_{T,f}`` as a :class:`Graph` on nodes ``1 .. 2n-1``."""
-        graph = Graph(nodes=range(1, self.path_length + 1))
-        graph.add_edges_from(self.induced_edges())
-        return graph
+        return Graph(nodes=range(1, self.path_length + 1), edges=self.induced_edges())
 
     def chord_intervals(self) -> list[tuple[int, int]]:
         """Return the mapped cotree edges as rank intervals (the chords of the witness)."""
@@ -169,10 +154,6 @@ class PlanarCutDecomposition:
             if u != v:
                 contracted.add_edge(u, v)
         return contracted
-
-    def copy_owner(self, index: int) -> Node:
-        """Return the original node that index ``index`` is a copy of."""
-        return self.mapping.f[index]
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +260,7 @@ def _cotree_types_at_node(rotation: RotationSystem, tree: RootedTree,
 
 
 def cut_open(graph: Graph, rotation: RotationSystem | None = None,
-             tree: RootedTree | None = None, root: Node | None = None,
-             embedding_backend: str = "networkx") -> PlanarCutDecomposition:
+             tree: RootedTree | None = None) -> PlanarCutDecomposition:
     """Cut a planar graph open along a spanning tree (Lemma 3 construction).
 
     Parameters
@@ -290,9 +270,8 @@ def cut_open(graph: Graph, rotation: RotationSystem | None = None,
     rotation:
         A planar rotation system of ``graph``; computed when omitted.
     tree:
-        A spanning tree of ``graph``; a BFS tree is used when omitted.
-    root:
-        Root for the default spanning tree (ignored when ``tree`` is given).
+        A spanning tree of ``graph``; when omitted, a BFS tree rooted at the
+        first node of ``graph``.
 
     Returns the full decomposition: the DFS-mapping ``f``, the images of tree
     and cotree edges in ``G_{T,f}``, and helpers to materialise ``G_{T,f}``
@@ -300,10 +279,9 @@ def cut_open(graph: Graph, rotation: RotationSystem | None = None,
     """
     require_connected(graph, context="cut_open")
     if rotation is None:
-        rotation = compute_planar_embedding(graph, backend=embedding_backend)
+        rotation = compute_planar_embedding(graph)
     if tree is None:
-        start = root if root is not None else next(iter(graph.nodes()))
-        tree = bfs_spanning_tree(graph, start)
+        tree = bfs_spanning_tree(graph, next(iter(graph.nodes())))
     if not tree.spans(graph):
         raise GraphError("the provided tree is not a spanning tree of the graph")
     if set(rotation.nodes()) != set(graph.nodes()):

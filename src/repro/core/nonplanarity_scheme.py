@@ -132,18 +132,15 @@ class NonPlanarityScheme(ProofLabelingScheme):
 
     name = "non-planarity-pls"
 
-    def __init__(self, backend: str = "networkx") -> None:
-        self.backend = backend
-
     # ------------------------------------------------------------------
     def is_member(self, graph: Graph) -> bool:
-        return not is_planar(graph, backend=self.backend)
+        return not is_planar(graph)
 
     def prove(self, network: Network) -> dict[Node, NonPlanarityCertificate]:
         graph = network.graph
         if not self.is_member(graph):
             raise NotInClassError("the network is planar; non-planarity cannot be certified")
-        subdivision = find_kuratowski_subdivision(graph, backend=self.backend)
+        subdivision = find_kuratowski_subdivision(graph)
         kind = KIND_K5 if subdivision.kind == "K5" else KIND_K33
         branch_vertices = list(subdivision.branch_vertices)
         if kind == KIND_K33:

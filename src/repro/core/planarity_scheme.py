@@ -50,7 +50,6 @@ from repro.exceptions import NotInClassError, NotPlanarError
 from repro.graphs.degeneracy import assign_edges_by_degeneracy
 from repro.graphs.graph import Graph, Node, edge_key
 from repro.graphs.planarity import compute_planar_embedding, is_planar
-from repro.graphs.spanning_tree import RootedTree
 from repro.observability.tracer import current as current_tracer
 
 __all__ = [
@@ -200,34 +199,17 @@ class PlanarityCertificate(Encodable):
 class PlanarityScheme(ProofLabelingScheme):
     """Theorem 1: a 1-round PLS for planarity with ``O(log n)``-bit certificates.
 
-    Parameters
-    ----------
-    embedding_backend:
-        Planarity/embedding backend used by the honest prover.
-    spanning_tree_builder:
-        Optional callable ``(graph, root) -> RootedTree`` used by the prover
-        (ablation hook; BFS by default, inside :func:`cut_open`).
-    distribute_by_degeneracy:
-        When ``False`` the prover stores every edge certificate at *both*
-        endpoints instead of only the degeneracy-smaller one — an ablation
-        that roughly doubles certificate sizes but must not change any
-        decision.
+    The honest prover cuts the graph open along a BFS tree rooted at the
+    graph's first node and charges each edge certificate to one endpoint
+    through a degeneracy ordering; the verifier enforces the resulting cap
+    of five edge certificates per node.
     """
 
     name = "planarity-pls"
 
-    def __init__(self, embedding_backend: str = "networkx",
-                 spanning_tree_builder=None,
-                 root: Node | None = None,
-                 distribute_by_degeneracy: bool = True) -> None:
-        self.embedding_backend = embedding_backend
-        self.spanning_tree_builder = spanning_tree_builder
-        self.root = root
-        self.distribute_by_degeneracy = distribute_by_degeneracy
-
     # ------------------------------------------------------------------
     def is_member(self, graph: Graph) -> bool:
-        return is_planar(graph, backend=self.embedding_backend)
+        return is_planar(graph)
 
     def prove(self, network: Network) -> dict[Node, PlanarityCertificate]:
         graph = network.graph
@@ -241,19 +223,11 @@ class PlanarityScheme(ProofLabelingScheme):
             # at large n).
             with tracer.span("prove/embedding"):
                 try:
-                    rotation = compute_planar_embedding(
-                        graph, backend=self.embedding_backend)
+                    rotation = compute_planar_embedding(graph)
                 except NotPlanarError:
                     raise NotInClassError("the network is not planar") from None
             with tracer.span("prove/cut_open"):
-                tree: RootedTree | None = None
-                if self.spanning_tree_builder is not None:
-                    root = (self.root if self.root is not None
-                            else next(iter(graph.nodes())))
-                    tree = self.spanning_tree_builder(graph, root)
-                decomposition = cut_open(graph, rotation=rotation, tree=tree,
-                                         root=self.root,
-                                         embedding_backend=self.embedding_backend)
+                decomposition = cut_open(graph, rotation=rotation)
             with tracer.span("prove/assembly"):
                 return self._certificates_from_decomposition(network, decomposition)
 
@@ -293,15 +267,9 @@ class PlanarityScheme(ProofLabelingScheme):
 
         # distribute the edge certificates
         per_node: dict[Node, list[EdgeCertificate]] = {node: [] for node in graph.nodes()}
-        if self.distribute_by_degeneracy:
-            assignment = assign_edges_by_degeneracy(graph)
-            for node, edges in assignment.items():
-                for edge in edges:
-                    per_node[node].append(edge_certificates[edge_key(*edge)])
-        else:
-            for (u, v), certificate in edge_certificates.items():
-                per_node[u].append(certificate)
-                per_node[v].append(certificate)
+        for node, edges in assign_edges_by_degeneracy(graph).items():
+            for edge in edges:
+                per_node[node].append(edge_certificates[edge_key(*edge)])
 
         st_labels = spanning_tree_labels(network, decomposition.tree)
         return {
@@ -316,8 +284,7 @@ class PlanarityScheme(ProofLabelingScheme):
     # verifier (Algorithm 2)
     # ------------------------------------------------------------------
     def verify(self, view: LocalView) -> bool:
-        structure = reconstruct_local_structure(
-            view, enforce_certificate_cap=self.distribute_by_degeneracy)
+        structure = reconstruct_local_structure(view)
         if structure is None:
             return False
         if structure.is_single_node:
@@ -399,8 +366,7 @@ class LocalStructure:
     interval_of: dict[int, Interval]
 
 
-def reconstruct_local_structure(view: LocalView,
-                                enforce_certificate_cap: bool = True) -> LocalStructure | None:
+def reconstruct_local_structure(view: LocalView) -> LocalStructure | None:
     """Phases 1 and 2 of Algorithm 2: structural verification at one node.
 
     Returns the reconstructed :class:`LocalStructure` when every structural
@@ -412,7 +378,7 @@ def reconstruct_local_structure(view: LocalView,
     own = view.certificate
     if not isinstance(own, PlanarityCertificate):
         return None
-    if enforce_certificate_cap and len(own.edge_certificates) > MAX_EDGE_CERTIFICATES_PER_NODE:
+    if len(own.edge_certificates) > MAX_EDGE_CERTIFICATES_PER_NODE:
         return None
     neighbor_certs: dict[int, PlanarityCertificate] = {}
     for neighbor_id in view.neighbor_ids:

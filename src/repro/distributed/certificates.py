@@ -87,18 +87,6 @@ class BitWriter:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def to_bytes(self) -> bytes:
-        """Return the accumulated bits packed into bytes (zero-padded)."""
-        out = bytearray()
-        for start in range(0, len(self.bits), 8):
-            chunk = self.bits[start:start + 8]
-            byte = 0
-            for bit in chunk:
-                byte = (byte << 1) | bit
-            byte <<= (8 - len(chunk))
-            out.append(byte)
-        return bytes(out)
-
     def bit_length(self) -> int:
         """Return the number of bits written so far."""
         return len(self.bits)

@@ -256,13 +256,6 @@ class InteractiveSoundnessEstimate:
         """Largest per-draw accepting-node count."""
         return max(self.accepting_counts, default=0)
 
-    @property
-    def mean_accepting(self) -> float:
-        """Mean per-draw accepting-node count."""
-        if not self.accepting_counts:
-            return 0.0
-        return sum(self.accepting_counts) / len(self.accepting_counts)
-
 
 #: marks a :attr:`_NetworkState.context` that was never compiled (``None``
 #: already means "the compiler refused this network")

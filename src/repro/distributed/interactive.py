@@ -19,8 +19,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.distributed.certificates import encoded_size_bits
 from repro.distributed.network import LocalView, Network
+from repro.distributed.verifier import certificate_statistics
 from repro.graphs.graph import Graph, Node
 
 __all__ = ["FirstTurn", "InteractiveProtocol", "InteractiveTranscript",
@@ -63,16 +63,16 @@ class InteractiveTranscript:
 
     @property
     def max_certificate_bits(self) -> int:
-        """Largest message sent by Merlin to any single node over both turns."""
-        sizes = [encoded_size_bits(cert) for cert in self.first_certificates.values()]
-        sizes += [encoded_size_bits(cert) for cert in self.second_certificates.values()]
-        return max(sizes, default=0)
+        """Largest message sent by Merlin to any single node over both turns.
 
-    @property
-    def total_prover_bits(self) -> int:
-        """Total number of bits sent by Merlin."""
-        return (sum(encoded_size_bits(c) for c in self.first_certificates.values())
-                + sum(encoded_size_bits(c) for c in self.second_certificates.values()))
+        Both turns are sized by
+        :func:`~repro.distributed.verifier.certificate_statistics`, so a
+        forged message with no encoding is charged ``8·len(repr)`` bits, as
+        in every proof-labeling scheme's size statistics.
+        """
+        sizes = [*certificate_statistics(self.first_certificates).values(),
+                 *certificate_statistics(self.second_certificates).values()]
+        return max(sizes, default=0)
 
 
 class InteractiveProtocol(ABC):

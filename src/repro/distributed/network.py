@@ -204,9 +204,3 @@ class Network:
             ball=ball,
             radius=radius,
         )
-
-    def all_local_views(self, certificates: dict[Node, Any],
-                        radius: int = 1) -> dict[Node, LocalView]:
-        """Return the local view of every node."""
-        return {node: self.local_view(node, certificates, radius=radius)
-                for node in self.graph.nodes()}

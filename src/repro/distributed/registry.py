@@ -133,12 +133,6 @@ class SchemeRegistry:
             raise RegistryError(f"scheme {name!r} already has a kernel")
         self._kernels[name] = kernel
 
-    def unregister_kernel(self, name: str) -> None:
-        """Detach the kernel of ``name``; raise :class:`RegistryError` if absent."""
-        if name not in self._kernels:
-            raise RegistryError(f"scheme {name!r} has no kernel")
-        del self._kernels[name]
-
     def kernel(self, name: str) -> Any | None:
         """Return the kernel registered under ``name``, or ``None``."""
         return self._kernels.get(name)
@@ -155,10 +149,6 @@ class SchemeRegistry:
         if kernel is not None and kernel.supports(scheme):
             return kernel
         return None
-
-    def kernel_names(self) -> list[str]:
-        """Return the scheme names that have a vectorized kernel."""
-        return sorted(self._kernels)
 
     def kernel_coverage(self, name: str) -> str | None:
         """Return the kernel's coverage level for ``name``, or ``None``.

@@ -466,7 +466,7 @@ class _SharedGraph(Graph):
         raise GraphError("shared networks are read-only; mutate the original "
                          "network and re-export")
 
-    add_node = add_edge = add_edges_from = _refuse
+    add_node = add_edge = _refuse
     remove_edge = remove_node = _refuse
 
 

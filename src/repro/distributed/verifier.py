@@ -59,11 +59,6 @@ class VerificationResult:
         return sum(self.certificate_bits.values()) / len(self.certificate_bits)
 
     @property
-    def total_certificate_bits(self) -> int:
-        """Return the total number of certificate bits assigned by the prover."""
-        return sum(self.certificate_bits.values())
-
-    @property
     def message_bits_per_edge(self) -> int:
         """Upper bound on the bits exchanged over any edge during verification."""
         return self.max_certificate_bits

@@ -192,11 +192,6 @@ class DynamicAuditor:
                     structure_at(network, node, 1), certificates, 1)))
                 for node in nodes}
 
-    @property
-    def accepts_all(self) -> bool:
-        """Whether every node of the network currently accepts."""
-        return self._rejecting == 0
-
     def decisions_digest(self) -> str:
         """A digest of the full decision vector, keyed by node identifier.
 

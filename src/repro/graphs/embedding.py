@@ -11,7 +11,6 @@ phrased in terms of :class:`RotationSystem`.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 
 from repro.exceptions import EmbeddingError
@@ -70,14 +69,6 @@ class RotationSystem:
         """Return the number of edges incident to ``node``."""
         return len(self._rotation[node])
 
-    def next_neighbor(self, node: Node, neighbor: Node, step: int = 1) -> Node:
-        """Return the neighbor ``step`` positions after ``neighbor`` around ``node``."""
-        order = self._rotation[node]
-        position = self._index[node].get(neighbor)
-        if position is None:
-            raise EmbeddingError(f"{neighbor!r} is not adjacent to {node!r}")
-        return order[(position + step) % len(order)]
-
     def rotation_from(self, node: Node, start: Node) -> list[Node]:
         """Return the rotation around ``node`` starting at ``start``."""
         order = self._rotation[node]
@@ -98,52 +89,18 @@ class RotationSystem:
                 graph.add_edge(node, neighbor)
         return graph
 
-    def mirrored(self) -> "RotationSystem":
-        """Return the mirror embedding (every rotation reversed)."""
-        return RotationSystem({node: list(reversed(order))
-                               for node, order in self._rotation.items()})
-
     # ------------------------------------------------------------------
     # faces and planarity
     # ------------------------------------------------------------------
-    def faces(self) -> list[list[tuple[Node, Node]]]:
-        """Trace the faces induced by the rotation system.
-
-        Each face is returned as the cyclic list of directed edges on its
-        boundary.  The face-tracing rule is the standard one: after entering
-        ``v`` through the directed edge ``(u, v)``, leave through the edge
-        ``(v, w)`` where ``w`` is the neighbor *preceding* ``u`` in the
-        rotation around ``v``.  (Using the successor instead would trace the
-        faces of the mirrored embedding; both conventions give the same face
-        count.)
-        """
-        unused: set[tuple[Node, Node]] = set()
-        for node, neighbors in self._rotation.items():
-            for neighbor in neighbors:
-                unused.add((node, neighbor))
-        faces: list[list[tuple[Node, Node]]] = []
-        while unused:
-            start = next(iter(unused))
-            face = []
-            edge = start
-            while True:
-                face.append(edge)
-                unused.discard(edge)
-                u, v = edge
-                w = self.next_neighbor(v, u, step=-1)
-                edge = (v, w)
-                if edge == start:
-                    break
-            faces.append(face)
-        return faces
-
     def number_of_faces(self) -> int:
         """Return the number of faces induced by the rotation system.
 
-        Uses the same face-tracing rule as :meth:`faces` but only counts,
-        without materialising boundary lists — the Euler validation runs on
-        every embedding the planarity backend produces, so this is a hot path
-        at large ``n``.
+        The face-tracing rule is the standard one: after entering ``v``
+        through the directed edge ``(u, v)``, leave through ``(v, w)`` where
+        ``w`` is the neighbor *preceding* ``u`` in the rotation around ``v``.
+        Faces are only counted, never materialised as boundary lists — the
+        Euler validation runs on every embedding the planarity test
+        produces, so this is a hot path at large ``n``.
         """
         rotation = self._rotation
         index = self._index
@@ -197,26 +154,6 @@ class RotationSystem:
         rotations: dict[Node, list[Node]] = {}
         for node in embedding.nodes():  # type: ignore[attr-defined]
             rotations[node] = list(embedding.neighbors_cw_order(node))  # type: ignore[attr-defined]
-        return cls(rotations)
-
-    @classmethod
-    def from_positions(cls, graph: Graph,
-                       positions: dict[Node, tuple[float, float]]) -> "RotationSystem":
-        """Build a rotation system by sorting neighbors by angle around each node.
-
-        ``positions`` must describe a straight-line plane drawing; when the
-        drawing is crossing-free the resulting rotation system is a planar
-        embedding.
-        """
-        rotations: dict[Node, list[Node]] = {}
-        for node in graph.nodes():
-            x0, y0 = positions[node]
-
-            def angle(neighbor: Node) -> float:
-                x1, y1 = positions[neighbor]
-                return math.atan2(y1 - y0, x1 - x0)
-
-            rotations[node] = sorted(graph.neighbors(node), key=angle)
         return cls(rotations)
 
     @classmethod

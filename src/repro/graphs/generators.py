@@ -46,77 +46,63 @@ __all__ = [
 # ----------------------------------------------------------------------
 def path_graph(n: int) -> Graph:
     """Return the path on nodes ``0 .. n-1``."""
-    graph = Graph(nodes=range(n))
-    graph.add_edges_from((i, i + 1) for i in range(n - 1))
-    return graph
+    return Graph(nodes=range(n), edges=((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     """Return the cycle on nodes ``0 .. n-1`` (``n >= 3``)."""
     if n < 3:
         raise GraphError("a cycle needs at least 3 nodes")
-    graph = path_graph(n)
-    graph.add_edge(n - 1, 0)
-    return graph
+    return Graph(nodes=range(n), edges=[*((i, i + 1) for i in range(n - 1)), (n - 1, 0)])
 
 
 def complete_graph(k: int) -> Graph:
     """Return the complete graph ``K_k`` on nodes ``0 .. k-1``."""
-    graph = Graph(nodes=range(k))
-    graph.add_edges_from((i, j) for i in range(k) for j in range(i + 1, k))
-    return graph
+    return Graph(nodes=range(k), edges=((i, j) for i in range(k) for j in range(i + 1, k)))
 
 
 def complete_bipartite_graph(p: int, q: int) -> Graph:
     """Return ``K_{p,q}`` with sides ``0..p-1`` and ``p..p+q-1``."""
-    graph = Graph(nodes=range(p + q))
-    graph.add_edges_from((i, p + j) for i in range(p) for j in range(q))
-    return graph
+    return Graph(nodes=range(p + q), edges=((i, p + j) for i in range(p) for j in range(q)))
 
 
 def wheel_graph(n_rim: int) -> Graph:
     """Return the wheel: a cycle on ``1..n_rim`` plus a hub ``0``."""
     if n_rim < 3:
         raise GraphError("a wheel needs at least 3 rim nodes")
-    graph = Graph(nodes=range(n_rim + 1))
-    for i in range(1, n_rim + 1):
-        graph.add_edge(0, i)
-        graph.add_edge(i, 1 + (i % n_rim))
-    return graph
+    return Graph(nodes=range(n_rim + 1),
+                 edges=(edge for i in range(1, n_rim + 1)
+                        for edge in ((0, i), (i, 1 + (i % n_rim)))))
 
 
 def ladder_graph(n_rungs: int) -> Graph:
     """Return the ladder: two paths of length ``n_rungs`` joined by rungs."""
-    graph = Graph(nodes=range(2 * n_rungs))
-    for i in range(n_rungs - 1):
-        graph.add_edge(i, i + 1)
-        graph.add_edge(n_rungs + i, n_rungs + i + 1)
-    for i in range(n_rungs):
-        graph.add_edge(i, n_rungs + i)
-    return graph
+    rails = (edge for i in range(n_rungs - 1)
+             for edge in ((i, i + 1), (n_rungs + i, n_rungs + i + 1)))
+    rungs = ((i, n_rungs + i) for i in range(n_rungs))
+    return Graph(nodes=range(2 * n_rungs), edges=[*rails, *rungs])
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """Return the ``rows x cols`` grid; nodes are numbered row-major."""
-    graph = Graph(nodes=range(rows * cols))
+    edges = []
     for r in range(rows):
         for c in range(cols):
             node = r * cols + c
             if c + 1 < cols:
-                graph.add_edge(node, node + 1)
+                edges.append((node, node + 1))
             if r + 1 < rows:
-                graph.add_edge(node, node + cols)
-    return graph
+                edges.append((node, node + cols))
+    return Graph(nodes=range(rows * cols), edges=edges)
 
 
 def petersen_graph() -> Graph:
     """Return the Petersen graph (non-planar, contains a ``K5`` minor)."""
-    graph = Graph(nodes=range(10))
-    for i in range(5):
-        graph.add_edge(i, (i + 1) % 5)            # outer cycle
-        graph.add_edge(5 + i, 5 + (i + 2) % 5)    # inner pentagram
-        graph.add_edge(i, 5 + i)                  # spokes
-    return graph
+    return Graph(nodes=range(10),
+                 edges=(edge for i in range(5)
+                        for edge in ((i, (i + 1) % 5),           # outer cycle
+                                     (5 + i, 5 + (i + 2) % 5),   # inner pentagram
+                                     (i, 5 + i))))               # spokes
 
 
 # ----------------------------------------------------------------------
@@ -135,21 +121,21 @@ def random_tree(n: int, seed: int | None = None) -> Graph:
     degree = [1] * n
     for node in prufer:
         degree[node] += 1
-    graph = Graph(nodes=range(n))
     import heapq
 
+    edges = []
     leaves = [node for node in range(n) if degree[node] == 1]
     heapq.heapify(leaves)
     for node in prufer:
         leaf = heapq.heappop(leaves)
-        graph.add_edge(leaf, node)
+        edges.append((leaf, node))
         degree[leaf] = 0
         degree[node] -= 1
         if degree[node] == 1:
             heapq.heappush(leaves, node)
     last = [node for node in range(n) if degree[node] == 1]
-    graph.add_edge(last[0], last[1])
-    return graph
+    edges.append((last[0], last[1]))
+    return Graph(nodes=range(n), edges=edges)
 
 
 def random_apollonian_network(n: int, seed: int | None = None) -> Graph:
@@ -162,15 +148,13 @@ def random_apollonian_network(n: int, seed: int | None = None) -> Graph:
     if n < 3:
         raise GraphError("an Apollonian network needs at least 3 nodes")
     rng = random.Random(seed)
-    graph = Graph(edges=[(0, 1), (1, 2), (0, 2)])
+    edges = [(0, 1), (1, 2), (0, 2)]
     faces: list[tuple[int, int, int]] = [(0, 1, 2)]
     for new in range(3, n):
         a, b, c = faces.pop(rng.randrange(len(faces)))
-        graph.add_edge(new, a)
-        graph.add_edge(new, b)
-        graph.add_edge(new, c)
+        edges += [(new, a), (new, b), (new, c)]
         faces.extend([(a, b, new), (b, c, new), (a, c, new)])
-    return graph
+    return Graph(edges=edges)
 
 
 def random_planar_graph(n: int, seed: int | None = None) -> Graph:
@@ -275,17 +259,17 @@ def subdivide_edges(graph: Graph, subdivisions: int, seed: int | None = None) ->
     into larger topological obstructions.
     """
     rng = random.Random(seed)
-    result = Graph(nodes=graph.nodes())
+    edges = []
     next_node = max((node for node in graph.nodes() if isinstance(node, int)), default=-1) + 1
     for u, v in graph.edges():
         count = subdivisions if seed is None else rng.randint(1, max(1, subdivisions))
         previous = u
         for _ in range(count):
-            result.add_edge(previous, next_node)
+            edges.append((previous, next_node))
             previous = next_node
             next_node += 1
-        result.add_edge(previous, v)
-    return result
+        edges.append((previous, v))
+    return Graph(nodes=graph.nodes(), edges=edges)
 
 
 def k5_subdivision(subdivisions: int = 2, seed: int | None = None) -> Graph:

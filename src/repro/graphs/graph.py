@@ -3,9 +3,9 @@
 The distributed-certification algorithms in this library only need simple
 connected graphs with distinct node identifiers, so instead of pulling a
 heavyweight dependency into the core data path we implement a compact
-adjacency-set structure here.  Conversion helpers to and from
-:mod:`networkx` are provided because the test-suite cross-validates our
-planarity code against the networkx implementation.
+adjacency-set structure here.  :meth:`Graph.to_networkx` converts a graph
+for the planarity test (:mod:`repro.graphs.planarity`), which runs networkx's
+implementation.
 
 Nodes can be arbitrary hashable objects; in the distributed model each node
 additionally carries an integer *identifier* (see
@@ -166,11 +166,6 @@ class Graph:
         self._version += 1
         self._journal_append("add_edge", u, v)
 
-    def add_edges_from(self, edges: Iterable[Edge]) -> None:
-        """Insert every edge of ``edges``."""
-        for u, v in edges:
-            self.add_edge(u, v)
-
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove the edge ``{u, v}``; raise :class:`GraphError` if absent."""
         if not self.has_edge(u, v):
@@ -266,12 +261,9 @@ class Graph:
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":
         """Return the subgraph induced by ``nodes``."""
         keep = set(nodes)
-        sub = Graph(nodes=keep & set(self._adj))
-        for u in sub.nodes():
-            for v in self._adj[u]:
-                if v in keep:
-                    sub.add_edge(u, v)
-        return sub
+        present = keep & set(self._adj)
+        return Graph(nodes=present,
+                     edges=((u, v) for u in present for v in self._adj[u] if v in keep))
 
     def indexed(self) -> Any:
         """Return the compiled :class:`~repro.graphs.indexed.IndexedGraph` view.
@@ -344,10 +336,8 @@ class Graph:
         new_names = [mapping.get(node, node) for node in self._adj]
         if len(set(new_names)) != len(new_names):
             raise GraphError("relabeling mapping is not injective on the node set")
-        clone = Graph(nodes=new_names)
-        for u, v in self.edges():
-            clone.add_edge(mapping.get(u, u), mapping.get(v, v))
-        return clone
+        return Graph(nodes=new_names,
+                     edges=((mapping.get(u, u), mapping.get(v, v)) for u, v in self.edges()))
 
     # ------------------------------------------------------------------
     # interop
@@ -360,8 +350,3 @@ class Graph:
         nxg.add_nodes_from(self.nodes())
         nxg.add_edges_from(self.edges())
         return nxg
-
-    @classmethod
-    def from_networkx(cls, nxg: Any) -> "Graph":
-        """Build a :class:`Graph` from a :class:`networkx.Graph`."""
-        return cls(nodes=nxg.nodes(), edges=nxg.edges())

@@ -177,10 +177,6 @@ class IndexedGraph:
         except KeyError:
             raise GraphError(f"node {label!r} is not in the graph") from None
 
-    def label(self, i: int) -> "Node":
-        """Return the label of index ``i``."""
-        return self.labels[i]
-
     def neighbors_of(self, i: int) -> list[int]:
         """Return the adjacency block of index ``i`` (repr-sorted)."""
         return self.indices[self.indptr[i]:self.indptr[i + 1]]

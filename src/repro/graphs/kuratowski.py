@@ -9,32 +9,29 @@ one.  We do this by computing an edge-minimal non-planar subgraph: removing
 any further edge would make it planar, and a classical argument shows such a
 subgraph is exactly a Kuratowski subdivision.
 
-Computing that minimal subgraph by greedy edge deletion alone costs one
-planarity test per edge per pass — quadratic in practice, and the bottleneck
-of every soundness sweep that needs honest Kuratowski certificates above
-``n ~ 500``.  :func:`find_kuratowski_subdivision` therefore exits early
-through a cheap *structural validation* (:func:`_as_subdivision`): strip
-low-degree vertices and, if the remainder provably is a subdivision already,
-return it after a single planarity test plus linear work.  That is exactly
-the shape of the sweeps' witness instances (``k5_subdivision`` /
-``k33_subdivision`` generators), which makes honest non-planarity proving
-linear there.
+Computing that minimal subgraph by greedy edge deletion costs one planarity
+test per edge per pass — quadratic in practice, and the bottleneck of every
+soundness sweep that needs honest Kuratowski certificates above ``n ~ 500``.
+:func:`find_kuratowski_subdivision` therefore exits early through a cheap
+*structural validation* (:func:`_as_subdivision`): strip low-degree vertices
+and, if the remainder provably is a subdivision already, return it after a
+single planarity test plus linear work.  That is exactly the shape of the
+sweeps' witness instances (``k5_subdivision`` / ``k33_subdivision``
+generators), which makes honest non-planarity proving linear there.
 
-General inputs are minimised by *divide and conquer over the edge set*
-(:func:`_divide_and_conquer_core`, the QuickXplain minimisation scheme):
+Every other input is minimised by *divide and conquer over the edge set*
+(:func:`_minimal_nonplanar_core`, the QuickXplain minimisation scheme):
 recursively split the candidate edges in half and test whether the support
 plus one half is already non-planar — a whole half is then discarded after a
 single planarity test.  A minimal core of ``k`` edges inside ``m``
 candidates costs ``O(k log(m / k) + k)`` planarity tests instead of the
-greedy loop's one test per edge per pass, so the cost now follows the
+greedy loop's one test per edge per pass, so the cost follows the
 *witness*, not the host: instances whose injected crossing edges close a
 short core resolve in well under a second at ``n = 1000``, and
 planar-plus-random-edges instances whose cores thread ``~100``-edge
 subdivided paths through the triangulation dropped from ~35 s to ~9 s at
-``n = 1000`` when this replaced the greedy loop.  The in-place greedy minimiser
-on the backend's mutable view and the portable greedy deletion loop remain
-as fallbacks for cores the validator cannot classify and for foreign
-backends.
+``n = 1000`` when this replaced the greedy loop.  The core is edge-minimal
+non-planar, hence a subdivision, and is validated like the early exit.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph, Node
-from repro.graphs.planarity import is_planar
+from repro.graphs.planarity import edge_list_is_planar, is_planar
 
 __all__ = ["KuratowskiSubdivision", "find_kuratowski_subdivision"]
 
@@ -89,19 +86,8 @@ class KuratowskiSubdivision:
         return paths
 
 
-def _classify(subgraph: Graph) -> tuple[str, tuple[Node, ...]]:
-    branch = sorted((node for node in subgraph.nodes() if subgraph.degree(node) >= 3), key=repr)
-    degrees = sorted(subgraph.degree(node) for node in branch)
-    if len(branch) == 5 and degrees == [4, 4, 4, 4, 4]:
-        return "K5", tuple(branch)
-    if len(branch) == 6 and degrees == [3, 3, 3, 3, 3, 3]:
-        return "K3,3", tuple(branch)
-    raise GraphError(
-        f"edge-minimal non-planar subgraph has unexpected branch structure: {degrees}")
-
-
-def _divide_and_conquer_core(graph: Graph, backend: str) -> KuratowskiSubdivision | None:
-    """Edge-minimal non-planar subgraph by recursive edge-set halving.
+def _minimal_nonplanar_core(graph: Graph) -> Graph:
+    """Edge-minimal non-planar subgraph of ``graph`` by recursive edge-set halving.
 
     The QuickXplain minimisation scheme: ``_minimise(support, candidates)``
     returns a minimal subset ``X`` of ``candidates`` with ``support ∪ X``
@@ -109,27 +95,14 @@ def _divide_and_conquer_core(graph: Graph, backend: str) -> KuratowskiSubdivisio
     non-planar.  Splitting the candidates in half lets one planarity test
     discard half the edges whenever the core is concentrated on one side, so
     a ``k``-edge core inside ``m`` candidate edges costs
-    ``O(k log(m / k) + k)`` tests — the greedy loop needs ``m`` (one per
+    ``O(k log(m / k) + k)`` tests — a greedy loop needs ``m`` (one per
     edge) before it can even start a second pass.  Each test runs on a graph
     built from the candidate edge list alone, so no test pays for more of
     the host graph than it keeps.
-
-    Returns ``None`` when the backend exposes no fast planarity test or the
-    minimal core fails structural validation (then the in-place greedy
-    minimiser decides).
     """
-    if backend != "networkx":
-        return None
-    import networkx as nx
-
-    def nonplanar(edge_list: list) -> bool:
-        view = nx.Graph()
-        view.add_edges_from(edge_list)
-        return not nx.check_planarity(view)[0]
-
     def _minimise(support: list, candidates: list, support_grew: bool) -> list:
         # invariant: support + candidates is non-planar
-        if support_grew and nonplanar(support):
+        if support_grew and not edge_list_is_planar(support):
             return []
         if len(candidates) == 1:
             return candidates
@@ -140,63 +113,7 @@ def _divide_and_conquer_core(graph: Graph, backend: str) -> KuratowskiSubdivisio
         return part_one + part_two
 
     core_edges = _minimise([], list(graph.edges()), False)
-    core = Graph(nodes={node for edge in core_edges for node in edge})
-    core.add_edges_from(core_edges)
-    return _as_subdivision(core)
-
-
-def _fast_minimised_core(graph: Graph, backend: str) -> KuratowskiSubdivision | None:
-    """Greedy minimisation run directly on a mutable networkx view.
-
-    Same algorithm as the portable fallback loop, but without one
-    graph-conversion per planarity test (the dominant cost there): the
-    non-planar core shrinks in place, low-degree vertices are peeled as soon
-    as a deletion strands them (which lets one test discard a whole chain),
-    and the structural validation exits as soon as the core provably is a
-    subdivision.  Each validation attempt converts the current core back (an
-    O(n + m) sliver next to the planarity tests it can save).  Returns
-    ``None`` when the backend exposes no networkx view or the minimum never
-    validates (then the portable loop decides).
-    """
-    if backend != "networkx":
-        return None
-    import networkx as nx
-
-    view = graph.to_networkx()  # a fresh copy: safe to mutate
-
-    def peel(seeds) -> bool:
-        removed = False
-        queue = [node for node in seeds if view.degree(node) < 2]
-        while queue:
-            node = queue.pop()
-            if node not in view or view.degree(node) >= 2:
-                continue
-            neighbors = list(view.adj[node])
-            view.remove_node(node)
-            removed = True
-            queue.extend(nb for nb in neighbors if view.degree(nb) < 2)
-        return removed
-
-    peel(list(view.nodes))  # the input itself may carry low-degree vertices
-    changed = True
-    while changed:
-        changed = False
-        for u, v in list(view.edges()):
-            if not view.has_edge(u, v):
-                continue  # dropped by an earlier peel in this pass
-            view.remove_edge(u, v)
-            if nx.check_planarity(view)[0]:
-                view.add_edge(u, v)
-                continue
-            changed = True
-            if peel((u, v)):
-                early = _as_subdivision(Graph.from_networkx(view))
-                if early is not None:
-                    return early
-        early = _as_subdivision(Graph.from_networkx(view))
-        if early is not None:
-            return early
-    return None
+    return Graph(nodes={node for edge in core_edges for node in edge}, edges=core_edges)
 
 
 def _peel_low_degree(core: Graph) -> None:
@@ -223,9 +140,14 @@ def _as_subdivision(core: Graph) -> KuratowskiSubdivision | None:
     """
     if any(core.degree(node) < 2 for node in core.nodes()):
         return None  # stray vertices can never belong to a subdivision
-    try:
-        kind, branch = _classify(core)
-    except GraphError:
+    branch = tuple(sorted((node for node in core.nodes() if core.degree(node) >= 3),
+                          key=repr))
+    degrees = {core.degree(node) for node in branch}
+    if len(branch) == 5 and degrees == {4}:
+        kind = "K5"
+    elif len(branch) == 6 and degrees == {3}:
+        kind = "K3,3"
+    else:
         return None
     subdivision = KuratowskiSubdivision(kind=kind, branch_vertices=branch,
                                         subgraph=core)
@@ -265,56 +187,31 @@ def _as_subdivision(core: Graph) -> KuratowskiSubdivision | None:
     return subdivision
 
 
-def find_kuratowski_subdivision(graph: Graph, backend: str = "networkx") -> KuratowskiSubdivision:
+def find_kuratowski_subdivision(graph: Graph) -> KuratowskiSubdivision:
     """Return a Kuratowski subdivision contained in a non-planar graph.
 
     The input itself — stripped of low-degree vertices — is structurally
     validated first, so graphs that already are subdivisions (the sweeps'
     honest witness instances) cost one planarity test plus linear work.
-    General inputs are minimised by divide and conquer over the edge set
-    (:func:`_divide_and_conquer_core` — one planarity test can discard half
-    the candidate edges), then, should the resulting core defy structural
-    validation, in place on the backend's own graph representation
-    (:func:`_fast_minimised_core`).  Only if none of those resolves does the
-    portable fallback run: greedily delete edges whose removal keeps the
-    graph non-planar and strip vertices of degree < 2 until the graph is
-    edge-minimal non-planar, i.e. a subdivision of ``K5`` or ``K3,3`` — with
-    the same early exit attempted after every pass.
+    Every other input is minimised by divide and conquer over the edge set
+    (:func:`_minimal_nonplanar_core` — one planarity test can discard half
+    the candidate edges) and the core is validated the same way.
 
     Raises
     ------
     GraphError
-        If ``graph`` is planar.
+        If ``graph`` is planar, or if the minimal core fails structural
+        validation (an edge-minimal non-planar graph is a subdivision of
+        ``K5`` or ``K3,3``, so that would be a bug).
     """
-    if is_planar(graph, backend=backend):
+    if is_planar(graph):
         raise GraphError("graph is planar; it contains no Kuratowski subdivision")
-    core = graph.copy()
-    _peel_low_degree(core)
-    early = _as_subdivision(core)
+    peeled = graph.copy()
+    _peel_low_degree(peeled)
+    early = _as_subdivision(peeled)
     if early is not None:
         return early
-    divided = _divide_and_conquer_core(graph, backend)
-    if divided is not None:
-        return divided
-    fast = _fast_minimised_core(graph, backend)
-    if fast is not None:
-        return fast
-    changed = True
-    while changed:
-        changed = False
-        for u, v in list(core.edges()):
-            core.remove_edge(u, v)
-            if is_planar(core, backend=backend):
-                core.add_edge(u, v)
-            else:
-                changed = True
-        # strip vertices that can no longer be part of the subdivision
-        before = core.number_of_nodes()
-        _peel_low_degree(core)
-        changed = changed or core.number_of_nodes() != before
-        if changed:
-            early = _as_subdivision(core)
-            if early is not None:
-                return early
-    kind, branch = _classify(core)
-    return KuratowskiSubdivision(kind=kind, branch_vertices=branch, subgraph=core)
+    subdivision = _as_subdivision(_minimal_nonplanar_core(graph))
+    if subdivision is None:
+        raise GraphError("the edge-minimal non-planar core failed Kuratowski validation")
+    return subdivision

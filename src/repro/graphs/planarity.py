@@ -1,36 +1,35 @@
 """Planarity testing and planar-embedding computation.
 
 The honest prover of Theorem 1 needs a combinatorial planar embedding
-(rotation system) of the input graph.  This module provides:
+(rotation system) of the input graph, and the Kuratowski minimiser of the
+non-planarity prover needs many yes/no tests on edge subsets.  This module
+is the one place that knows how planarity is tested:
 
-* fast necessary conditions (edge-count bounds) that reject dense graphs
-  without running a full test,
-* a full planarity test / embedding computation behind a small backend
-  abstraction.  The provided backend (``"networkx"``) runs the left-right
-  planarity algorithm; its output is converted into our own
+* fast necessary conditions (edge-count bounds) reject dense graphs
+  without running a full test;
+* the full test runs networkx's left-right planarity algorithm.  Its
+  embedding is converted into our own
   :class:`~repro.graphs.embedding.RotationSystem` and re-validated against
   Euler's formula (an independent check implemented in this package) before
   being handed to callers, so a faulty embedding can never silently reach
-  the prover.  Additional backends can be registered by extending
-  ``_BACKENDS`` and ``_embedding_or_none``.
+  the prover.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.exceptions import EmbeddingError, NotPlanarError
 from repro.graphs.embedding import RotationSystem
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Edge, Graph
 
 __all__ = [
     "planarity_upper_edge_bound",
     "passes_edge_count_bound",
     "is_planar",
+    "edge_list_is_planar",
     "compute_planar_embedding",
-    "DEFAULT_BACKEND",
 ]
-
-DEFAULT_BACKEND = "networkx"
-_BACKENDS = ("networkx",)
 
 
 def planarity_upper_edge_bound(n: int) -> int:
@@ -65,22 +64,30 @@ def _networkx_embedding(graph: Graph) -> RotationSystem | None:
     return rotation
 
 
-def is_planar(graph: Graph, backend: str = DEFAULT_BACKEND) -> bool:
+def is_planar(graph: Graph) -> bool:
     """Return whether ``graph`` is planar."""
     if graph.number_of_nodes() <= 4:
         return True
     if not passes_edge_count_bound(graph):
         return False
-    return _embedding_or_none(graph, backend) is not None
+    return _networkx_embedding(graph) is not None
 
 
-def _embedding_or_none(graph: Graph, backend: str) -> RotationSystem | None:
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown planarity backend {backend!r}; choose from {_BACKENDS}")
-    return _networkx_embedding(graph)
+def edge_list_is_planar(edges: Iterable[Edge]) -> bool:
+    """Return whether the graph formed by ``edges`` alone is planar.
+
+    The Kuratowski minimiser runs this on many edge subsets of one host, so
+    the test graph is built straight from the list: no :class:`Graph`, no
+    embedding conversion.
+    """
+    import networkx as nx
+
+    view = nx.Graph()
+    view.add_edges_from(edges)
+    return nx.check_planarity(view)[0]
 
 
-def compute_planar_embedding(graph: Graph, backend: str = DEFAULT_BACKEND) -> RotationSystem:
+def compute_planar_embedding(graph: Graph) -> RotationSystem:
     """Return a planar rotation system of ``graph``.
 
     Raises
@@ -88,18 +95,18 @@ def compute_planar_embedding(graph: Graph, backend: str = DEFAULT_BACKEND) -> Ro
     NotPlanarError
         If the graph is not planar.
     EmbeddingError
-        If the backend produced an embedding that fails the Euler-formula
-        validation (this would indicate a backend bug and is always checked).
+        If the computed embedding fails the Euler-formula validation (this
+        would indicate a bug in the planarity test and is always checked).
     """
     if not passes_edge_count_bound(graph):
         raise NotPlanarError(
             f"graph with n={graph.number_of_nodes()} and m={graph.number_of_edges()} "
             "violates the planar edge bound 3n - 6")
-    rotation = _embedding_or_none(graph, backend)
+    rotation = _networkx_embedding(graph)
     if rotation is None:
         raise NotPlanarError("graph is not planar")
     if graph.number_of_nodes() > 0 and graph.is_connected():
         if not rotation.is_planar_embedding():
             raise EmbeddingError(
-                f"backend {backend!r} returned a rotation system that fails Euler's formula")
+                "the planarity test returned a rotation system that fails Euler's formula")
     return rotation

@@ -80,15 +80,6 @@ class RootedTree:
             raise GraphError(f"node {node!r} is not in the tree")
         return list(self._children[node])
 
-    def is_leaf(self, node: Node) -> bool:
-        """Return whether ``node`` has no children."""
-        return not self.children(node)
-
-    def tree_degree(self, node: Node) -> int:
-        """Return the degree of ``node`` inside the tree."""
-        extra = 0 if node == self.root else 1
-        return len(self.children(node)) + extra
-
     def depth(self, node: Node) -> int:
         """Return the hop distance from ``node`` to the root."""
         depth = 0

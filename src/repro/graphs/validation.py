@@ -22,7 +22,7 @@ def require_connected(graph: Graph, context: str = "operation") -> None:
         raise NotConnectedError(f"{context} requires a connected graph")
 
 
-def is_outerplanar(graph: Graph, backend: str = "networkx") -> bool:
+def is_outerplanar(graph: Graph) -> bool:
     """Return whether ``graph`` is outerplanar.
 
     A graph is outerplanar iff adding a universal apex vertex keeps it
@@ -35,7 +35,7 @@ def is_outerplanar(graph: Graph, backend: str = "networkx") -> bool:
     augmented = graph.copy()
     for node in graph.nodes():
         augmented.add_edge(apex, node)
-    return is_planar(augmented, backend=backend)
+    return is_planar(augmented)
 
 
 def is_path_graph(graph: Graph) -> bool:

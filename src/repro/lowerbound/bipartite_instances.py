@@ -38,14 +38,6 @@ class IdentifierPartition:
     q: int
     d: int
 
-    @property
-    def path_length_a(self) -> int:
-        return len(self.a_sets[0])
-
-    @property
-    def path_length_b(self) -> int:
-        return len(self.b_sets[0])
-
 
 def make_identifier_partition(n: int, q: int) -> IdentifierPartition:
     """Split the identifier range ``0 .. 2qn - 1`` into ``q`` sets of each kind.

@@ -156,9 +156,6 @@ class MetricsRegistry:
             self.gauges[name] = value
 
     # -- reading ---------------------------------------------------------
-    def counter(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
     def timing(self, name: str) -> TimingStat:
         stat = self.timings.get(name)
         if stat is None:

@@ -273,8 +273,6 @@ class NonPlanarityKernel:
     coverage = "full"
 
     def supports(self, scheme: Any) -> bool:
-        # the backend parameter only affects membership tests and the honest
-        # prover, never the verifier's decision function
         return type(scheme) is NonPlanarityScheme and scheme.verification_radius == 1
 
     def accept_vector(self, ctx: VectorContext, scheme: Any,
@@ -498,9 +496,6 @@ class PlanarityKernel:
     batch_node_budget = 18_000
 
     def supports(self, scheme: Any) -> bool:
-        # prover-side parameters (embedding backend, spanning-tree builder,
-        # root) never change the verifier; distribute_by_degeneracy does, and
-        # accept_vector reads it, so both settings are supported
         return type(scheme) is PlanarityScheme and scheme.verification_radius == 1
 
     def accept_vector(self, ctx: VectorContext, scheme: Any,
@@ -530,16 +525,15 @@ class PlanarityKernel:
             # which raises on a certificate whose edge list is not a
             # sequence; conservatively route such holders to the fallback so
             # the exception is reproduced.
-            if scheme.distribute_by_degeneracy:
-                get = certificates.get
-                raisers = bytearray(n)
-                for i, label in enumerate(ctx.labels):
-                    certificate = get(label)
-                    if type(certificate) is PlanarityCertificate and \
-                            type(certificate.edge_certificates) is not tuple:
-                        raisers[i] = True
-                if any(raisers):
-                    fallback |= np.frombuffer(raisers, dtype=np.uint8).astype(bool)
+            get = certificates.get
+            raisers = bytearray(n)
+            for i, label in enumerate(ctx.labels):
+                certificate = get(label)
+                if type(certificate) is PlanarityCertificate and \
+                        type(certificate.edge_certificates) is not tuple:
+                    raisers[i] = True
+            if any(raisers):
+                fallback |= np.frombuffer(raisers, dtype=np.uint8).astype(bool)
             return accept, fallback
 
         edges = compile_edge_lists(ctx, certificates, PlanarityCertificate,
@@ -554,10 +548,9 @@ class PlanarityKernel:
         fallback |= bad | segment_any(bad[dst], starts)
 
         # ---- the degeneracy cap -------------------------------------------
-        if scheme.distribute_by_degeneracy:
-            # planar graphs are 5-degenerate; the honest prover never charges
-            # more certificates to a node, and the verifier enforces it
-            accept &= edges.counts <= MAX_EDGE_CERTIFICATES_PER_NODE
+        # planar graphs are 5-degenerate; the honest prover never charges
+        # more certificates to a node, and the verifier enforces it
+        accept &= edges.counts <= MAX_EDGE_CERTIFICATES_PER_NODE
 
         with tracer.span(prefix + "visibility_join") as sp:
             join = self._visible_pairs(ctx, edges)

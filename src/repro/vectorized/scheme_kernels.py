@@ -278,6 +278,7 @@ class PathOuterplanarKernel:
 # universal whole-graph-map scheme
 # ----------------------------------------------------------------------
 _CONTENT_KEY = "_vectorized_graphmap_content"
+_PLANAR_KEY = "_vectorized_graphmap_planar"
 _MISSING = object()
 #: memoised planarity verdict when materialising the map raises (self-loop
 #: edges) — the holders take the reference path, which re-raises in node order
@@ -387,16 +388,14 @@ class UniversalMapKernel:
 
         ids = ctx.node_ids
         degrees = ctx.degrees
-        planar_key = f"_vectorized_graphmap_planar_{scheme.backend}"
         with tracer.span(prefix + "map_checks"):
-            self._check_maps(ctx, scheme, reps, holders_of, accept, fallback,
-                             ids, degrees, planar_key, starts, dst)
+            self._check_maps(reps, holders_of, accept, fallback,
+                             ids, degrees, starts, dst)
         return accept, fallback
 
     @staticmethod
-    def _check_maps(ctx: Any, scheme: Any, reps: list, holders_of: list,
-                    accept: Any, fallback: Any, ids: Any, degrees: Any,
-                    planar_key: str, starts: Any, dst: Any) -> None:
+    def _check_maps(reps: list, holders_of: list, accept: Any, fallback: Any,
+                    ids: Any, degrees: Any, starts: Any, dst: Any) -> None:
         """Per-distinct-map neighborhood and planarity checks (in place)."""
         for u, rep in enumerate(reps):
             holders = np.array(holders_of[u], dtype=np.int64)
@@ -444,13 +443,13 @@ class UniversalMapKernel:
             survivors = holders[alive]
             if not survivors.size:
                 continue
-            planar = rep.__dict__.get(planar_key, _MISSING)
+            planar = rep.__dict__.get(_PLANAR_KEY, _MISSING)
             if planar is _MISSING:
                 try:
-                    planar = is_planar(rep.to_graph(), backend=scheme.backend)
+                    planar = is_planar(rep.to_graph())
                 except Exception:
                     planar = _PLANAR_ERROR
-                rep.__dict__[planar_key] = planar
+                rep.__dict__[_PLANAR_KEY] = planar
             if planar is _PLANAR_ERROR:
                 fallback[survivors] = True
             elif not planar:

@@ -37,7 +37,6 @@ class TestFitting:
         assert abs(fit.slope - 50) < 1e-6
         assert abs(fit.intercept - 20) < 1e-6
         assert fit.r_squared > 0.999
-        assert abs(fit.predict(1024) - (50 * 10 + 20)) < 1e-6
 
     def test_inverse_fit_recovers_synthetic_constants(self):
         primes = [101, 211, 401, 809, 1601]
@@ -47,7 +46,6 @@ class TestFitting:
         assert abs(fit.slope - 3) < 1e-9
         assert abs(fit.intercept - 0.01) < 1e-9
         assert fit.r_squared > 0.999
-        assert abs(fit.predict(3203) - (3 / 3203 + 0.01)) < 1e-12
 
     def test_degenerate_fit(self):
         fit = fit_log_scaling([10], [100])

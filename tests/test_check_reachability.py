@@ -185,6 +185,79 @@ class TestRules:
         assert all(f"pkg.mod.{name}" in out for name in ("helper", "other", "third"))
 
 
+CLASS_LIBRARY = {
+    "src/pkg/__init__.py": "",
+    "src/pkg/mod.py": """\
+        class Thing:
+            def __init__(self):
+                self.value = 1
+
+            def method(self):
+                return self.value
+        """,
+}
+
+
+def _demo(body: str) -> dict[str, str]:
+    return {"examples/demo.py": "from pkg.mod import Thing\n\n" + body}
+
+
+class TestMembers:
+    def test_method_only_a_test_calls_fails(self, check):
+        code, out = check({**CLASS_LIBRARY, **_demo("Thing()\n"), "tests/test_mod.py": """\
+            from pkg.mod import Thing
+
+            def test_method():
+                assert Thing().method() == 1
+            """})
+        assert code == 1
+        assert out.splitlines() == [
+            "unreached outside tests: src/pkg/mod.py:5: pkg.mod.Thing.method"]
+
+    def test_attribute_use_reaches(self, check):
+        code, out = check({**CLASS_LIBRARY, **_demo("Thing().method()\n")})
+        assert code == 0, out
+
+    def test_local_variable_of_the_same_name_does_not_reach(self, check):
+        code, out = check({**CLASS_LIBRARY, **_demo("method = Thing()\nprint(method)\n")})
+        assert code == 1
+        assert out.splitlines() == [
+            "unreached outside tests: src/pkg/mod.py:5: pkg.mod.Thing.method"]
+
+    def test_own_body_does_not_count(self, check):
+        code, out = check({
+            "src/pkg/__init__.py": "",
+            "src/pkg/mod.py": """\
+                class Thing:
+                    def method(self, n):
+                        return self.method(n - 1) if n else 0
+                """,
+            **_demo("Thing()\n")})
+        assert code == 1 and "pkg.mod.Thing.method" in out
+
+    def test_class_body_alias_reaches(self, check):
+        code, out = check({
+            "src/pkg/__init__.py": "",
+            "src/pkg/mod.py": """\
+                class Thing:
+                    def _refuse(self):
+                        raise TypeError("read-only")
+
+                    add = _refuse
+                """,
+            **_demo("Thing().add()\n")})
+        assert code == 0, out
+
+    def test_allowlisted_class_covers_its_members(self, check):
+        code, out = check(CLASS_LIBRARY, allowlist={"pkg.mod.Thing": "public API"})
+        assert code == 0, out
+
+    def test_allowlisted_member_passes(self, check):
+        code, out = check({**CLASS_LIBRARY, **_demo("Thing()\n")},
+                          allowlist={"pkg.mod.Thing.method": "public API"})
+        assert code == 0, out
+
+
 class TestAllowlist:
     def test_allowlisted_unreached_definition_passes(self, check):
         code, out = check(LIBRARY, allowlist={"pkg.mod.helper": "public API"})

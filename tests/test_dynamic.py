@@ -147,10 +147,10 @@ class TestDynamicAuditorPlanarity:
             assert report.member
             reference = reference_decisions(auditor)
             assert auditor.decisions == reference
-            assert report.accept_all == auditor.accepts_all == all(reference.values())
+            assert report.accept_all == all(auditor.decisions.values()) == all(reference.values())
             if report.fallback:
                 chords = cotree_pairs(auditor)
-        assert auditor.accepts_all
+        assert all(auditor.decisions.values())
 
     def test_tree_edge_removal_falls_back_counted(self):
         network = Network(delaunay_planar_graph(40, seed=2), seed=2)
@@ -166,7 +166,7 @@ class TestDynamicAuditorPlanarity:
         assert report.fallback and report.reason == "tree_edge_removed"
         assert auditor.fallbacks == 1
         assert auditor.decisions == reference_decisions(auditor)
-        assert auditor.accepts_all
+        assert all(auditor.decisions.values())
 
     def test_miswired_link_alarms_immediately_and_recovers(self):
         network = Network(delaunay_planar_graph(60, seed=3), seed=3)
@@ -190,12 +190,12 @@ class TestDynamicAuditorPlanarity:
         reference = reference_decisions(auditor)
         assert auditor.decisions == reference
         # the running count of rejecting nodes agrees with a full scan
-        assert landed.accept_all == auditor.accepts_all == all(reference.values())
+        assert landed.accept_all == all(auditor.decisions.values()) == all(reference.values())
         report = auditor.apply_event("remove_edge", u, v)
         assert report.accept_all and not report.alarms
         reference = reference_decisions(auditor)
         assert auditor.decisions == reference
-        assert report.accept_all == auditor.accepts_all == all(reference.values())
+        assert report.accept_all == all(auditor.decisions.values()) == all(reference.values())
 
     def test_journal_truncation_re_decides_everything(self):
         network = Network(delaunay_planar_graph(40, seed=6), seed=6)
@@ -318,7 +318,7 @@ class TestDynamicAuditorTree:
         restore = auditor.apply_event("add_edge", leaf, parent)
         assert restore.member
         assert auditor.decisions == reference_decisions(auditor)
-        assert auditor.accepts_all
+        assert all(auditor.decisions.values())
 
     def test_repairer_registry(self):
         class ForeignScheme:

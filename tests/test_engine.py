@@ -97,8 +97,8 @@ class TestEngineEquivalence:
         network = Network(PLANAR_GRAPH, seed=3)
         certificates = {node: index for index, node in enumerate(network.nodes())}
         batched = engine.views(network, certificates)
-        for node, view in network.all_local_views(certificates).items():
-            assert batched[node] == view
+        for node in network.nodes():
+            assert batched[node] == network.local_view(node, certificates)
 
     def test_radius_two_scheme_matches_naive(self):
         class BallScheme(ProofLabelingScheme):
@@ -563,6 +563,24 @@ class TestInteractiveRuntime:
         _transcripts_equal(reference, batched)
         assert not batched.accepted
 
+    def test_transcript_sizes_a_forged_message_by_its_repr(self):
+        """A first message with no encoding is charged ``8·len(repr)`` bits,
+        the size rule of ``certificate_statistics``, instead of raising."""
+        from repro.distributed.verifier import certificate_statistics
+
+        network = Network(delaunay_planar_graph(20, seed=0), seed=0)
+        protocol = self._protocol()
+        honest = SimulationEngine(seed=0).run_interactive(protocol, network, seed=0)
+        first = dict(honest.first_certificates)
+        first[next(iter(network.nodes()))] = "forged"
+        transcript = SimulationEngine(seed=0).run_interactive(
+            protocol, network, seed=0, dishonest_first=first,
+            dishonest_second=honest.second_certificates)
+        assert transcript.max_certificate_bits == 361
+        assert transcript.max_certificate_bits == max(
+            *certificate_statistics(first).values(),
+            *certificate_statistics(honest.second_certificates).values())
+
     def test_estimate_matches_per_draw_reference(self):
         from repro.distributed.interactive import run_interactive_protocol
 
@@ -580,7 +598,7 @@ class TestInteractiveRuntime:
         assert estimate.error_rate == 1.0
         assert estimate.all_accept_count == 5
         assert estimate.max_accepting == network.size
-        assert estimate.mean_accepting == network.size
+        assert sum(estimate.accepting_counts) == 5 * network.size
 
     def test_estimate_with_second_strategy_matches_reference(self):
         import random as random_module

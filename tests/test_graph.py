@@ -98,6 +98,131 @@ class TestConstructionIsNotAMutation:
                 == [(u, list(vs)) for u, vs in built._adj.items()])
 
 
+def _add_edge_build(nodes, edges):
+    graph = Graph(nodes=nodes)
+    for u, v in edges:
+        graph.add_edge(u, v)
+    return graph
+
+
+def _prufer_edges(n, seed):
+    import heapq
+    import random
+
+    rng = random.Random(seed)
+    prufer = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for node in prufer:
+        degree[node] += 1
+    leaves = [node for node in range(n) if degree[node] == 1]
+    heapq.heapify(leaves)
+    for node in prufer:
+        leaf = heapq.heappop(leaves)
+        yield leaf, node
+        degree[leaf] = 0
+        degree[node] -= 1
+        if degree[node] == 1:
+            heapq.heappush(leaves, node)
+    last = [node for node in range(n) if degree[node] == 1]
+    yield last[0], last[1]
+
+
+def _apollonian_edges(n, seed):
+    import random
+
+    rng = random.Random(seed)
+    yield from [(0, 1), (1, 2), (0, 2)]
+    faces = [(0, 1, 2)]
+    for new in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        yield from [(new, a), (new, b), (new, c)]
+        faces.extend([(a, b, new), (b, c, new), (a, c, new)])
+
+
+def _subdivided_edges(graph, subdivisions, seed):
+    import random
+
+    rng = random.Random(seed)
+    next_node = max(graph.nodes()) + 1
+    for u, v in graph.edges():
+        previous = u
+        for _ in range(rng.randint(1, subdivisions)):
+            yield previous, next_node
+            previous = next_node
+            next_node += 1
+        yield previous, v
+
+
+def _generator_cases():
+    """(name, generator output, the same graph built by ``add_edge`` in the
+    order the generator visits its edges)."""
+    from repro.graphs import generators as gen
+
+    k5 = gen.complete_graph(5)
+    host = gen.random_apollonian_network(40, seed=4)
+    keep = [node for node in host.nodes() if node % 3]
+    names = {node: f"v{node}" for node in host.nodes() if node % 2}
+    return [
+        ("path", gen.path_graph(7),
+         _add_edge_build(range(7), [(i, i + 1) for i in range(6)])),
+        ("cycle", gen.cycle_graph(7),
+         _add_edge_build(range(7), [(i, i + 1) for i in range(6)] + [(6, 0)])),
+        ("complete", gen.complete_graph(6),
+         _add_edge_build(range(6), [(i, j) for i in range(6) for j in range(i + 1, 6)])),
+        ("complete-bipartite", gen.complete_bipartite_graph(3, 4),
+         _add_edge_build(range(7), [(i, 3 + j) for i in range(3) for j in range(4)])),
+        ("wheel", gen.wheel_graph(6),
+         _add_edge_build(range(7), [e for i in range(1, 7)
+                                    for e in ((0, i), (i, 1 + i % 6))])),
+        ("ladder", gen.ladder_graph(5),
+         _add_edge_build(range(10), [e for i in range(4) for e in ((i, i + 1), (5 + i, 6 + i))]
+                         + [(i, 5 + i) for i in range(5)])),
+        ("grid", gen.grid_graph(4, 5),
+         _add_edge_build(range(20), [e for r in range(4) for c in range(5)
+                                     for e, ok in (((5 * r + c, 5 * r + c + 1), c < 4),
+                                                   ((5 * r + c, 5 * r + c + 5), r < 3))
+                                     if ok])),
+        ("petersen", gen.petersen_graph(),
+         _add_edge_build(range(10), [e for i in range(5)
+                                     for e in ((i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5),
+                                               (i, 5 + i))])),
+        ("random-tree", gen.random_tree(30, seed=7),
+         _add_edge_build(range(30), _prufer_edges(30, 7))),
+        ("apollonian", gen.random_apollonian_network(60, seed=8),
+         _add_edge_build([], _apollonian_edges(60, 8))),
+        ("subdivide", gen.subdivide_edges(k5, 3, seed=2),
+         _add_edge_build(k5.nodes(), _subdivided_edges(k5, 3, 2))),
+        ("subgraph", host.subgraph(keep),
+         _add_edge_build(set(keep), [(u, v) for u in set(keep) for v in host._adj[u]
+                                     if v in set(keep)])),
+        ("relabeled", host.relabeled(names),
+         _add_edge_build([names.get(u, u) for u in host.nodes()],
+                         [(names.get(u, u), names.get(v, v)) for u, v in host.edges()])),
+    ]
+
+
+class TestGeneratorsBuildWithoutJournaling:
+    """Generators and ``subgraph``/``relabeled`` hand their edges to the
+    constructor, in the order they used to add them one by one."""
+
+    @pytest.mark.parametrize("name,graph,built", _generator_cases(),
+                             ids=[case[0] for case in _generator_cases()])
+    def test_unjournaled_with_add_edge_adjacency_order(self, name, graph, built):
+        assert graph._version == 0 and graph.deltas_since(0) == ()
+        assert built._version > 0
+        assert ([(u, list(vs)) for u, vs in graph._adj.items()]
+                == [(u, list(vs)) for u, vs in built._adj.items()])
+
+    def test_kuratowski_core_is_unjournaled(self):
+        from repro.graphs.generators import planar_plus_random_edges
+        from repro.graphs.kuratowski import find_kuratowski_subdivision
+
+        graph = planar_plus_random_edges(60, extra_edges=3, seed=1)
+        core = find_kuratowski_subdivision(graph).subgraph
+        assert core.number_of_edges() < graph.number_of_edges()
+        assert core._version == 0 and core.deltas_since(0) == ()
+
+
 class TestQueries:
     def test_degree_and_neighbors(self):
         graph = Graph(edges=[(1, 2), (1, 3), (1, 4)])
@@ -190,7 +315,8 @@ class TestStructure:
 
     def test_networkx_round_trip(self):
         graph = Graph(edges=[(1, 2), (2, 3), (3, 1)])
-        assert Graph.from_networkx(graph.to_networkx()) == graph
+        converted = graph.to_networkx()
+        assert Graph(nodes=converted.nodes(), edges=converted.edges()) == graph
 
     def test_edge_key_is_order_independent(self):
         assert edge_key(3, 1) == edge_key(1, 3)

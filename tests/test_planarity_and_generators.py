@@ -82,10 +82,6 @@ class TestPlanarityTest:
         with pytest.raises(NotPlanarError):
             compute_planar_embedding(complete_graph(7))
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            is_planar(grid_graph(3, 3), backend="does-not-exist")
-
 
 class TestKuratowski:
     @pytest.mark.parametrize("graph,expected_kind", [
@@ -124,6 +120,15 @@ class TestKuratowski:
     def test_planar_input_rejected(self):
         with pytest.raises(GraphError):
             find_kuratowski_subdivision(grid_graph(4, 4))
+
+    def test_core_failing_validation_raises(self, monkeypatch):
+        """A minimal core the structural validator rejects is a bug, never an
+        answer: extraction raises instead of returning it unvalidated."""
+        from repro.graphs import kuratowski
+
+        monkeypatch.setattr(kuratowski, "_as_subdivision", lambda core: None)
+        with pytest.raises(GraphError, match="failed Kuratowski validation"):
+            find_kuratowski_subdivision(petersen_graph())
 
     def test_low_degree_vertices_never_survive_extraction(self):
         """Stray low-degree vertices (here: an isolated node and a pendant

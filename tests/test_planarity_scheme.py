@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.dfs_mapping import cut_open
 from repro.core.planarity_scheme import (
     CotreeEdgeCertificate,
     PlanarityCertificate,
@@ -29,6 +30,7 @@ from repro.graphs.generators import (
     random_apollonian_network,
     random_planar_graph,
 )
+from repro.graphs.graph import Graph
 from repro.graphs.planarity import is_planar
 from repro.graphs.spanning_tree import dfs_spanning_tree
 
@@ -54,17 +56,20 @@ class TestCompleteness:
 
     def test_different_spanning_trees_and_roots(self):
         graph = random_apollonian_network(30, seed=5)
+        scheme = PlanarityScheme()
         for root in list(graph.nodes())[:5]:
-            scheme = PlanarityScheme(spanning_tree_builder=dfs_spanning_tree, root=root)
-            assert certify_and_verify(scheme, graph, seed=root).accepted
-
-    def test_both_endpoint_distribution_ablation(self):
-        """Storing edge certificates at both endpoints changes sizes, not decisions."""
-        graph = random_planar_graph(30, seed=6)
-        lean = certify_and_verify(PlanarityScheme(), graph, seed=6)
-        fat = certify_and_verify(PlanarityScheme(distribute_by_degeneracy=False), graph, seed=6)
-        assert lean.accepted and fat.accepted
-        assert fat.max_certificate_bits >= lean.max_certificate_bits
+            # cut_open roots its default BFS tree at the graph's first node
+            rerooted = Graph(nodes=[root, *graph.nodes()], edges=graph.edges())
+            network = Network(rerooted, seed=root)
+            certificates = scheme.prove(network)
+            assert {cert.spanning_tree.root_id for cert in certificates.values()} \
+                == {network.id_of(root)}
+            assert run_verification(scheme, network, certificates).accepted
+            # a DFS tree through the prover's own assembly step
+            decomposition = cut_open(graph, tree=dfs_spanning_tree(graph, root))
+            network = Network(graph, seed=root)
+            certificates = scheme._certificates_from_decomposition(network, decomposition)
+            assert run_verification(scheme, network, certificates).accepted
 
     def test_id_assignment_independence(self):
         """Completeness holds for several identifier assignments of the same graph."""

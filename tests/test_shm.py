@@ -214,8 +214,8 @@ class TestSharedNetwork:
 
 def _pls_kernel_names():
     registry = default_registry()
-    return sorted(name for name in registry.kernel_names()
-                  if registry.entry(name).kind == "pls")
+    return sorted(name for name in registry.names(kind="pls")
+                  if registry.kernel(name) is not None)
 
 
 @pytest.mark.parametrize("scheme_name", _pls_kernel_names())
