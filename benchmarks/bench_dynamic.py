@@ -89,7 +89,7 @@ def reference_digest(auditor: DynamicAuditor) -> tuple[str, float]:
     start = time.perf_counter()
     decisions = {
         node: bool(scheme.verify(assemble_view(
-            structure_at(network, node, 1), certificates, 1)))
+            structure_at(network, node), certificates)))
         for node in network.nodes()}
     seconds = time.perf_counter() - start
     import hashlib
@@ -306,7 +306,7 @@ def run_engine_section(params: dict) -> dict:
     """Warm (delta-invalidating) vs cold engine cache refresh per event.
 
     What the engine's delta layer replaces is starting the network's cache
-    record afresh on every version bump: the radius-1 structure lists
+    record afresh on every version bump: the structure list
     and the compiled :class:`VectorContext` used to be rebuilt from scratch
     per event.  The timed quantity is therefore exactly that refresh —
     re-deriving both caches after each event — warm through the delta patch
@@ -329,7 +329,7 @@ def run_engine_section(params: dict) -> dict:
 
     warm = SimulationEngine(backend="vectorized")
     cold = SimulationEngine(backend="vectorized")
-    warm.structures(network, 1)
+    warm.structures(network)
     warm._vector_context(network)  # prime the caches the delta layer patches
     warm_seconds = cold_seconds = 0.0
     divergence = 0
@@ -346,13 +346,13 @@ def run_engine_section(params: dict) -> dict:
             flapping = None
 
         start = time.perf_counter()
-        warm.structures(network, 1)
+        warm.structures(network)
         warm._vector_context(network)
         warm_seconds += time.perf_counter() - start
 
         cold.clear_caches()
         start = time.perf_counter()
-        cold.structures(network, 1)
+        cold.structures(network)
         cold._vector_context(network)
         cold_seconds += time.perf_counter() - start
 

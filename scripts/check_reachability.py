@@ -1,4 +1,5 @@
-"""Fail on library code that nothing outside the tests reaches.
+"""Fail on library code that nothing outside the tests reaches, and on
+imports that nothing uses.
 
 Every top-level ``def`` and ``class`` in ``src/`` must be used by some
 non-test file: as a name, an attribute, an imported name, or a string.  A
@@ -24,8 +25,15 @@ statements, and the imports of a package ``__init__.py`` (re-exports).
 
 ``ALLOWLIST`` names the few definitions kept on purpose anyway, each with
 its reason (an allowlisted class covers its members); an entry that is
-reached anyway, or no longer defined, fails the check too.  Run from
-anywhere::
+reached anyway, or no longer defined, fails the check too.
+
+Every file under ``src/``, ``tests/``, ``benchmarks/``, ``scripts/`` and
+``examples/`` must also use each name it imports: as a bare name (the base
+of ``np.zeros`` is one) or as an identifier in a string that is not a
+docstring, which covers forward references (``-> "Network"``) and
+``__all__`` entries.  A package ``__init__.py`` re-exports what it imports
+and ``from __future__`` binds nothing, so neither is checked;
+``perfbench/`` is left alone.  Run from anywhere::
 
     python scripts/check_reachability.py
 """
@@ -45,6 +53,9 @@ SRC = ROOT / "src"
 
 #: directories (besides ``src/``) whose Python files count as users
 USER_DIRS = ("benchmarks", "examples", "scripts", "perfbench")
+
+#: directories whose Python files may import no name they leave unused
+IMPORT_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
 
 #: ``module.name`` -> why it stays although no non-test file reaches it
 ALLOWLIST = {
@@ -136,6 +147,32 @@ def uses(root: ast.AST, package_init: bool) -> Iterator[tuple[str, bool]]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` of every name ``tree`` imports and never uses."""
+    # strings that stand as statements (docstrings) are prose, not uses
+    prose = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                imported.setdefault(alias.asname or alias.name.partition(".")[0],
+                                    node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in prose:
+            used.update(_IDENTIFIER.findall(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
 def main() -> int:
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in python_files(SRC)}
@@ -195,12 +232,21 @@ def main() -> int:
     failures.extend(f"allowlisted but not defined: {name}"
                     for name in sorted(set(ALLOWLIST) - defined))
 
+    for directory in IMPORT_DIRS:
+        for path in python_files(ROOT / directory):
+            if path.name == "__init__.py":
+                continue  # a package re-exports what it imports
+            tree = trees.get(path) or ast.parse(path.read_text(), filename=str(path))
+            failures.extend(f"unused import: {path.relative_to(ROOT)}:{line}: {name}"
+                            for line, name in unused_imports(tree))
+
     for failure in failures:
         print(failure)
     if failures:
         return 1
     print(f"reachability ok: every top-level definition and class member in src/ "
-          f"is used outside tests ({len(ALLOWLIST)} allowlisted)")
+          f"is used outside tests ({len(ALLOWLIST)} allowlisted), and every "
+          f"import is used")
     return 0
 
 

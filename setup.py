@@ -14,9 +14,8 @@ setup(
     install_requires=[
         # planarity/embedding backend of the honest prover
         "networkx>=3.0",
-        # CSR arrays + the repro.vectorized bulk-verification kernels
-        # (the library degrades gracefully without it: the vectorized
-        # backend falls back to the reference verifier)
+        # CSR arrays, the repro.vectorized bulk-verification kernels and
+        # the shared-memory plane of repro.distributed.shm
         "numpy>=1.24",
     ],
     extras_require={

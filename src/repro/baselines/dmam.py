@@ -52,10 +52,10 @@ from repro.core.building_blocks import spanning_tree_labels
 from repro.distributed.certificates import BitWriter, Encodable, encode_nested
 from repro.distributed.interactive import FirstTurn, InteractiveProtocol
 from repro.distributed.network import LocalView, Network
-from repro.exceptions import NotInClassError
+from repro.exceptions import NotInClassError, NotPlanarError
 from repro.graphs.degeneracy import assign_edges_by_degeneracy
 from repro.graphs.graph import Graph, Node, edge_key
-from repro.graphs.planarity import is_planar
+from repro.graphs.planarity import compute_planar_embedding, is_planar
 
 __all__ = [
     "DMAMFirstMessage",
@@ -180,12 +180,16 @@ class PlanarityDMAMProtocol(InteractiveProtocol):
         The decomposition is carried in ``FirstTurn.state`` so the second
         turn can be replayed against many challenge draws — and cached per
         ``(network, protocol)`` by the simulation engine — from the turn
-        alone, whichever network the protocol instance served last.
+        alone, whichever network the protocol instance served last.  As in
+        :meth:`~repro.core.planarity_scheme.PlanarityScheme.prove`, one
+        embedding both answers membership and feeds ``cut_open``.
         """
         graph = network.graph
-        if not self.is_member(graph):
-            raise NotInClassError("the network is not planar")
-        decomposition = cut_open(graph)
+        try:
+            rotation = compute_planar_embedding(graph)
+        except NotPlanarError:
+            raise NotInClassError("the network is not planar") from None
+        decomposition = cut_open(graph, rotation=rotation)
         messages = self.messages_from_decomposition(network, decomposition)
         return FirstTurn(messages=messages, state=decomposition)
 
@@ -341,8 +345,6 @@ class PlanarityDMAMProtocol(InteractiveProtocol):
                 nid: (cert.structure if isinstance(cert, DMAMFirstMessage) else None)
                 for nid, cert in first_view.certificates.items()
             },
-            ball=first_view.ball,
-            radius=first_view.radius,
         )
         structure = reconstruct_local_structure(structural_view)
         if structure is None:
@@ -513,8 +515,8 @@ def _first_components_view(view: LocalView) -> LocalView:
     """Project a final-round view (certificates are pairs) onto turn 1.
 
     Ill-formed pairs project to ``None`` — exactly the treatment the
-    monolithic verifier gave them.  The ball graph is shared with the input
-    view (read-only, as the view contract requires).
+    monolithic verifier gave them.  ``neighbor_ids`` is shared with the
+    input view, which the verifier does not modify.
     """
     def first_of(cert: Any) -> Any:
         if isinstance(cert, tuple) and len(cert) == 2:
@@ -526,6 +528,4 @@ def _first_components_view(view: LocalView) -> LocalView:
         certificate=first_of(view.certificate),
         neighbor_ids=view.neighbor_ids,
         certificates={nid: first_of(cert) for nid, cert in view.certificates.items()},
-        ball=view.ball,
-        radius=view.radius,
     )

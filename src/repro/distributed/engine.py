@@ -7,15 +7,15 @@ node by node.  That is the right shape for explaining the model, but the
 experiments run the *same* network through the verifier many times — once per
 adversarial trial, once per scheme, once per sweep point — and the per-node
 loop then rebuilds identical view structure (sorted neighbor identifier
-lists, radius-1 ball graphs) and re-encodes identical certificates on every
+lists, visible-node lists) and re-encodes identical certificates on every
 run.
 
 :class:`SimulationEngine` hoists everything that does not depend on the
 certificate assignment out of the per-trial loop:
 
-* **structural views** — for each ``(network, radius)`` the engine
-  materialises every node's center identifier, sorted neighbor identifiers,
-  visible-node list and ball graph in one pass over the network's compiled
+* **structural views** — for each network the engine materialises every
+  node's center identifier, sorted neighbor identifiers and visible-node
+  list in one pass over the network's compiled
   :class:`~repro.graphs.indexed.IndexedGraph`, and caches the result for the
   lifetime of the network;
 * **prover artifacts** — honest certificate assignments are cached per
@@ -25,7 +25,7 @@ certificate assignment out of the per-trial loop:
   of accepting nodes, so :meth:`count_accepting` skips the bit-exact
   certificate-size accounting that :func:`run_verification` performs on
   every call.  Under the vectorized backend an attack also pays only for
-  what it changed: the verifier has radius 1, so the engine keeps the
+  what it changed: verification takes one round, so the engine keeps the
   kernel's decisions on each cached honest assignment and, for an
   assignment that differs from it (by certificate identity) within a small
   closed neighbourhood, re-decides just that ball with the reference
@@ -53,9 +53,9 @@ certificate assignment out of the per-trial loop:
   transparently.  (:meth:`run_trials` workers run in separate processes and
   construct their own engines, so give those the backend explicitly.)  The
   fallback rules keep the backend
-  decision-preserving: schemes without a kernel, radius > 1, networks the
-  compiler refuses (n < 2, oversized identifiers, numpy missing) run the
-  reference path wholesale, and individual nodes that can see a certificate
+  decision-preserving: schemes without a kernel and networks the compiler
+  refuses (n < 2, isolated nodes, oversized identifiers) run the reference
+  path wholesale, and individual nodes that can see a certificate
   the array form cannot represent exactly are re-decided by the reference
   verifier;
 * **batched sweeps** — :meth:`verify_batch` and :meth:`count_accepting_batch`
@@ -104,7 +104,7 @@ from repro.distributed.interactive import (
     InteractiveTranscript,
     require_second_message,
 )
-from repro.distributed.network import LocalView, Network
+from repro.distributed.network import Network
 from repro.distributed.scheme import ProofLabelingScheme
 from repro.distributed.verifier import VerificationResult, certificate_statistics
 from repro.distributed.views import (
@@ -160,7 +160,7 @@ _NETWORK_CACHE_SIZE = 32
 #: kernel's flagged nodes consume :func:`~repro.distributed.views.iter_structures`
 #: / :func:`~repro.distributed.views.structure_at` rather than the cached
 #: whole-graph structure list, so a million-node verification never holds
-#: every node's ball graph at once.  Below it the cached list stays strictly
+#: every node's structure at once.  Below it the cached list stays strictly
 #: better (sweeps revisit it per trial).
 _STREAM_NODE_THRESHOLD = 1 << 17
 
@@ -295,8 +295,8 @@ class _NetworkState:
     version: int
     #: weakref whose callback evicts the record when the network is collected
     finalizer: weakref.ref
-    #: every node's view structure, per radius
-    structures: dict[int, list[NodeStructure]] = field(default_factory=dict)
+    #: every node's view structure, in node order; ``None`` until requested
+    structures: list[NodeStructure] | None = None
     #: compiled :class:`~repro.vectorized.compiler.VectorContext`, ``None``
     #: for a network the compiler refuses, or :data:`_UNSET`
     context: Any = _UNSET
@@ -322,19 +322,17 @@ class _NetworkState:
     def patched(self, network: Network) -> _NetworkState | None:
         """A fresh record for ``network`` carried through its edge deltas.
 
-        Only the radius-1 structure list carries over, re-materialised for
-        the delta endpoints (a node's radius-1 structure depends on nothing
-        beyond its own adjacency) and byte-identical to a from-scratch
-        rebuild.  The compiled
+        Only the structure list carries over, re-materialised for the delta
+        endpoints (a node's structure depends on nothing beyond its own
+        adjacency) and byte-identical to a from-scratch rebuild.  The compiled
         :class:`~repro.vectorized.compiler.VectorContext` is left unset and
         rebuilt on demand from the CSR that :meth:`IndexedGraph.patched
         <repro.graphs.indexed.IndexedGraph.patched>` already patched: a
         patch of it would be O(n) array work too, and saved only a fraction
         of a millisecond per event at n = 2000.  *Assignment-shaped*
         artifacts — honest certificates and their decisions, size
-        statistics, first turns, dMAM round states, fingerprints,
-        deeper-radius structures — have no bounded delta form and stay
-        behind.
+        statistics, first turns, dMAM round states, fingerprints — have no
+        bounded delta form and stay behind.
 
         Returns ``None`` when the journal cannot vouch for the mutation
         (truncated, node operations, or more than
@@ -352,15 +350,15 @@ class _NetworkState:
             for delta in deltas:
                 touched.add(delta.u)
                 touched.add(delta.v)
-            cached = self.structures.get(1)
+            cached = self.structures
             if cached is not None:
                 index_of = network.graph.indexed().index_of
                 for node in touched:
                     i = index_of.get(node)
                     if i is None or i >= len(cached):
                         return None
-                    cached[i] = structure_at(network, node, 1)
-                fresh.structures[1] = cached
+                    cached[i] = structure_at(network, node)
+                fresh.structures = cached
             if sp:
                 sp.set(nodes=network.size, deltas=len(deltas),
                        touched=len(touched))
@@ -499,20 +497,18 @@ class SimulationEngine:
             self._drop_network(id(evicted))
         return network
 
-    def structures(self, network: Network, radius: int = 1) -> list[NodeStructure]:
+    def structures(self, network: Network) -> list[NodeStructure]:
         """Return the cached certificate-independent view structure of every node.
 
         Nodes appear in the network's node order (the order
         :func:`~repro.distributed.verifier.run_verification` visits them).
         """
-        per_radius = self._state(network).structures
-        cached = per_radius.get(radius)
-        if cached is None:
-            cached = self._materialize(network, radius)
-            per_radius[radius] = cached
-        return cached
+        state = self._state(network)
+        if state.structures is None:
+            state.structures = self._materialize(network)
+        return state.structures
 
-    def _structures_for(self, network: Network, radius: int,
+    def _structures_for(self, network: Network,
                         nodes: Sequence[int] | None = None,
                         ) -> Iterable[NodeStructure]:
         """Structures of the nodes at indices ``nodes`` (all when ``None``).
@@ -523,12 +519,12 @@ class SimulationEngine:
         list is materialised or cached.
         """
         if network.size < _STREAM_NODE_THRESHOLD:
-            structures = self.structures(network, radius)
+            structures = self.structures(network)
             return structures if nodes is None else [structures[i] for i in nodes]
         if nodes is None:
-            return iter_structures(network, radius)
+            return iter_structures(network)
         labels = network.graph.indexed().labels
-        return [structure_at(network, labels[i], radius) for i in nodes]
+        return [structure_at(network, labels[i]) for i in nodes]
 
     # the batched materialisation/assembly primitives live in the shared
     # view layer (repro.distributed.views); the engine layers caching on top
@@ -538,12 +534,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # batched verification
     # ------------------------------------------------------------------
-    def views(self, network: Network, certificates: dict[Node, Any],
-              radius: int = 1) -> dict[Node, LocalView]:
-        """Materialise every node's :class:`LocalView` in one batched pass."""
-        return {s.node: assemble_view(s, certificates, radius)
-                for s in self.structures(network, radius)}
-
     def verify(self, scheme: ProofLabelingScheme, network: Network,
                certificates: dict[Node, Any],
                backend: str | None = None) -> VerificationResult:
@@ -593,7 +583,6 @@ class SimulationEngine:
                 scheme_name=scheme.name,
                 decisions=_decision_map(network, accept),
                 certificate_bits=self._certificate_stats(network, certificates),
-                verification_radius=scheme.verification_radius,
             ))
         return results
 
@@ -623,18 +612,15 @@ class SimulationEngine:
         context by the scheme's kernel (:meth:`_kernel_items`).  Every
         remaining item — all of them under the reference backend, which
         stays the oracle — runs the reference loop over the whole network,
-        after its whole-network fallback (radius > 1, no kernel, or a
-        network the compiler refuses) is counted and attributed.
+        after its whole-network fallback (no kernel, or a network the
+        compiler refuses) is counted and attributed.
         """
         accepts: list[Any] = [None] * len(items)
         counts: list[int | None] = [None] * len(items)
         reason = None
         if self._resolve_backend(backend) == "vectorized":
-            radius_ok = scheme.verification_radius == 1
-            kernel = self._kernel_for(scheme) if radius_ok else None
-            if not radius_ok:
-                reason = "radius"
-            elif kernel is None:
+            kernel = self._kernel_for(scheme)
+            if kernel is None:
                 reason = "no_kernel"
             else:
                 reason = "refused_network"
@@ -645,8 +631,7 @@ class SimulationEngine:
                 if reason is not None:
                     self._note_network_fallback(scheme, reason)
                 accepts[idx] = self._reference(
-                    scheme.name, network, scheme.verification_radius,
-                    self._pls_decide(scheme, certificates))
+                    scheme.name, network, self._pls_decide(scheme, certificates))
         return [(accept, _accepting(accept) if accepting is None else accepting)
                 for accept, accepting in zip(accepts, counts)]
 
@@ -658,7 +643,7 @@ class SimulationEngine:
         An item is local when its network has a decided honest assignment
         for ``scheme`` (:meth:`_honest_decision`) and the certificates it
         changed, found by identity, have a closed neighbourhood of at most
-        ``n // _LOCAL_BALL_DIVISOR`` nodes (:func:`_changed_ball`).  Radius-1
+        ``n // _LOCAL_BALL_DIVISOR`` nodes (:func:`_changed_ball`).  One-round
         verification means only that ball can decide differently: it is
         re-decided by the reference verifier and every other decision comes
         from the honest vector.  The count is the honest count, minus the
@@ -686,7 +671,7 @@ class SimulationEngine:
                 accepting = decided.accepting
                 if ball:
                     fresh = self._reference(
-                        scheme.name, network, 1,
+                        scheme.name, network,
                         self._pls_decide(scheme, certificates), ball)
                     accepting += sum(fresh) - int(accept[ball].sum())
                     accept[ball] = fresh
@@ -834,10 +819,10 @@ class SimulationEngine:
                     local = flagged[(flagged >= lo) & (flagged < hi)] - lo
                     if len(local):
                         accept[local + lo] = self._reference(
-                            name, member, 1, decide, local)
+                            name, member, decide, local)
         return accept
 
-    def _reference(self, name: str, network: Network, radius: int,
+    def _reference(self, name: str, network: Network,
                    decide: Callable[[int, NodeStructure], Any],
                    nodes: Sequence[int] | None = None) -> list[bool]:
         """The per-node reference loop: ``decide(i, structure)`` as bools.
@@ -850,7 +835,7 @@ class SimulationEngine:
         the caller.  Structures stream above ``_STREAM_NODE_THRESHOLD``
         (:meth:`_structures_for`).
         """
-        structures = self._structures_for(network, radius, nodes)
+        structures = self._structures_for(network, nodes)
         if nodes is not None:
             return [bool(decide(i, s)) for i, s in zip(nodes, structures)]
         counters = self._backend_counters
@@ -868,10 +853,9 @@ class SimulationEngine:
         """A node's reference decision in a PLS round, as ``decide(i, s)``."""
         verify = scheme.verify
         view = self._view
-        radius = scheme.verification_radius
 
         def decide(_index: int, structure: NodeStructure) -> Any:
-            return verify(view(structure, certificates, radius))
+            return verify(view(structure, certificates))
 
         return decide
 
@@ -989,10 +973,9 @@ class SimulationEngine:
         The caller owns the segment and must call ``handle.unlink()`` when
         done.
 
-        Returns ``None`` whenever the zero-copy path is unavailable — shared
-        memory or numpy missing, the vectorized compiler refuses the network
-        (n < 2, isolated nodes, oversized identifiers), or non-integer node
-        labels — in which case callers simply keep the network in the spec
+        Returns ``None`` whenever the zero-copy path is unavailable — the
+        vectorized compiler refuses the network (n < 2, isolated nodes,
+        oversized identifiers), or non-integer node labels — in which case callers simply keep the network in the spec
         and the established pickle path applies (see the fallback matrix in
         :mod:`repro.distributed.shm`).
         """
@@ -1012,7 +995,7 @@ class SimulationEngine:
         the nodes a kernel flagged for per-node reference re-decision (the
         exactness fallback plus any prefilter-degradation survivors);
         ``fallback_networks`` counts vectorized-backend calls the kernels
-        could not serve at all (no kernel, radius > 1, refused network) and
+        could not serve at all (no kernel, refused network) and
         that ran the reference loop wholesale; and ``reference_calls`` /
         ``reference_nodes`` count every whole-network pass of the per-node
         reference loop — both deliberate ``backend="reference"`` calls and
@@ -1156,7 +1139,7 @@ class SimulationEngine:
                                challenges: dict[Node, int],
                                prepared: Sequence[Any] | None = None,
                                backend: str | None = None) -> Any:
-        """Accept vector (node order) of one verification round at radius 1.
+        """Accept vector (node order) of one verification round.
 
         With ``prepared`` (see :meth:`interactive_prepared`) each node's
         challenge-independent verifier state is reused and only the
@@ -1175,7 +1158,7 @@ class SimulationEngine:
                                             challenges, prepared)
             if accept is None:
                 accept = self._reference(
-                    protocol.name, network, 1,
+                    protocol.name, network,
                     self._round_decide(protocol, network, first, second,
                                        challenges, prepared))
             return accept
@@ -1235,10 +1218,10 @@ class SimulationEngine:
             neighbor_challenges = {vid: challenges[v] for vid, v in
                                    zip(s.visible_ids[1:], s.visible_nodes[1:])}
             if prepared is None:
-                return protocol.verify(view(s, paired, 1), challenges[s.node],
+                return protocol.verify(view(s, paired), challenges[s.node],
                                        neighbor_challenges)
             return protocol.verify_with_state(prepared[index],
-                                              view(s, paired, 1),
+                                              view(s, paired),
                                               challenges[s.node],
                                               neighbor_challenges)
 
@@ -1256,8 +1239,8 @@ class SimulationEngine:
         """
         prepare = protocol.prepare_verifier
         view = self._view
-        return [prepare(view(s, first, 1))
-                for s in self._structures_for(network, 1)]
+        return [prepare(view(s, first))
+                for s in self._structures_for(network)]
 
     def count_accepting_interactive(self, protocol: InteractiveProtocol,
                                     network: Network, first: dict[Node, Any],
@@ -1323,10 +1306,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # trial fan-out
     # ------------------------------------------------------------------
-    def trial_seed(self, index: int) -> int | None:
-        """Return the deterministic seed of trial ``index`` under the engine seed."""
-        return derive_seed(self.seed, index)
-
     def run_trials(self, worker: Callable[[Any], Any],
                    specs: Sequence[Any]) -> list[Any]:
         """Map ``worker`` over independent trial ``specs``.
@@ -1389,10 +1368,6 @@ class SimulationEngine:
             tracer.absorb(payload, worker=index)
             results.append(result)
         return results
-
-    def rng(self, index: int = 0) -> random.Random:
-        """Return a :class:`random.Random` seeded for trial ``index``."""
-        return random.Random(self.trial_seed(index))
 
 
 class _Trial:

@@ -109,8 +109,8 @@ class InteractiveProtocol(ABC):
         during the Arthur turn).
 
         Views may be assembled from the batched view layer
-        (:mod:`repro.distributed.views`), which shares the ball graph across
-        executions — verifiers must treat the view as **read-only**.
+        (:mod:`repro.distributed.views`); each view is the verifier's own, so
+        scratch edits to it reach no other execution.
         """
 
     # ------------------------------------------------------------------
@@ -181,7 +181,7 @@ def run_interactive_protocol(protocol: InteractiveProtocol, network: Network,
     paired = {node: (first.get(node), second.get(node)) for node in network.nodes()}
     decisions: dict[Node, bool] = {}
     for node in network.nodes():
-        view = network.local_view(node, paired, radius=1)
+        view = network.local_view(node, paired)
         neighbor_challenges = {network.id_of(neighbor): challenges[neighbor]
                                for neighbor in network.graph.neighbors(node)}
         decisions[node] = bool(protocol.verify(view, challenges[node], neighbor_challenges))

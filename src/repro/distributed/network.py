@@ -7,9 +7,9 @@ identifier fits in ``O(log n)`` bits).  A :class:`Network` couples a
 provides the *local views* that verifiers are allowed to see.
 
 A verifier running at a node never receives the global graph: it receives a
-:class:`LocalView`, which contains only the node's identifier, its
-certificate, and the identifiers/certificates of the nodes at distance at
-most ``radius`` (``radius = 1`` for proof-labeling schemes).
+:class:`LocalView`, which contains only what one verification round
+delivers — the node's identifier and certificate, and its neighbors'
+identifiers and certificates.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ __all__ = ["Network", "LocalView"]
 class LocalView:
     """Everything a node is allowed to inspect during local verification.
 
+    One round of communication: the node sees its own identifier and
+    certificate and the identifiers and certificates of its neighbors.
+
     Attributes
     ----------
     center_id:
@@ -37,33 +40,15 @@ class LocalView:
         Certificate assigned to the center node (``None`` if the prover gave
         nothing).
     neighbor_ids:
-        Identifiers of the adjacent nodes.
+        Identifiers of the adjacent nodes, sorted.
     certificates:
-        Certificates of every node in the view (center included), keyed by
-        identifier.
-    ball:
-        The subgraph induced by the nodes at distance <= ``radius`` from the
-        center, with nodes renamed to their identifiers.  For ``radius = 1``
-        this is the star around the center plus any edges among its
-        neighbors that both endpoints can see... in the 1-round model a node
-        only learns its incident edges, so the radius-1 ball contains exactly
-        the center's incident edges.
-    radius:
-        The verification radius used to build the view.
-
-    Verifiers must treat a view as **read-only**: the batched
-    :class:`~repro.distributed.engine.SimulationEngine` shares the ball
-    graph between the views it builds for a node across trials, so scratch
-    mutations that are harmless under the per-call reference loop would
-    corrupt every later evaluation there.
+        Certificates of the center and its neighbors, keyed by identifier.
     """
 
     center_id: int
     certificate: Any
     neighbor_ids: list[int]
     certificates: dict[int, Any]
-    ball: Graph
-    radius: int = 1
 
     def neighbor_certificate(self, neighbor_id: int) -> Any:
         """Return the certificate of the neighbor with the given identifier."""
@@ -151,56 +136,20 @@ class Network:
         return self.graph.relabeled(self._id_of)
 
     # ------------------------------------------------------------------
-    def ball_nodes(self, node: Node, radius: int) -> set[Node]:
-        """Return the set of nodes at distance <= ``radius`` from ``node``."""
-        frontier = {node}
-        ball = {node}
-        for _ in range(radius):
-            next_frontier: set[Node] = set()
-            for current in frontier:
-                for neighbor in self.graph.neighbors(current):
-                    if neighbor not in ball:
-                        ball.add(neighbor)
-                        next_frontier.add(neighbor)
-            frontier = next_frontier
-        return ball
+    def local_view(self, node: Node, certificates: dict[Node, Any]) -> LocalView:
+        """Build the one-round :class:`LocalView` of ``node`` under ``certificates``.
 
-    def local_view(self, node: Node, certificates: dict[Node, Any],
-                   radius: int = 1) -> LocalView:
-        """Build the :class:`LocalView` of ``node`` under a certificate assignment.
-
-        For ``radius = 1`` (the proof-labeling-scheme setting) the view
-        contains the center's incident edges and the certificates of the
-        center and its neighbors.  For larger radii the view contains the
-        full ball of that radius (the locally-checkable-proof setting with a
-        ``t``-round verifier).
+        The reference the batched view layer
+        (:mod:`repro.distributed.views`) is tested against.
         """
-        if radius < 1:
-            raise GraphError("verification radius must be at least 1")
         center_id = self._id_of[node]
         neighbor_ids = self.neighbor_ids(node)
-        if radius == 1:
-            ball = Graph(nodes=[center_id, *neighbor_ids])
-            for neighbor_id in neighbor_ids:
-                ball.add_edge(center_id, neighbor_id)
-            visible_nodes = [node, *[self._node_of[i] for i in neighbor_ids]]
-        else:
-            nodes_in_ball = self.ball_nodes(node, radius)
-            # The t-round view contains every edge with at least one endpoint
-            # at distance <= radius - 1 (edges whose messages had time to
-            # reach the center), which for our purposes we approximate by the
-            # induced subgraph on the ball: this only ever gives the verifier
-            # *more* information, which is safe for upper bounds and standard
-            # for LCP lower bounds.
-            induced = self.graph.subgraph(nodes_in_ball)
-            ball = induced.relabeled({v: self._id_of[v] for v in nodes_in_ball})
-            visible_nodes = list(nodes_in_ball)
-        certs = {self._id_of[v]: certificates.get(v) for v in visible_nodes}
+        visible = {center_id: certificates.get(node)}
+        for neighbor_id in neighbor_ids:
+            visible[neighbor_id] = certificates.get(self._node_of[neighbor_id])
         return LocalView(
             center_id=center_id,
             certificate=certificates.get(node),
             neighbor_ids=neighbor_ids,
-            certificates=certs,
-            ball=ball,
-            radius=radius,
+            certificates=visible,
         )

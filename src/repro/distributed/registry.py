@@ -91,7 +91,6 @@ class SchemeRegistry:
                     name=getattr(instance, "name", name),
                     interactions=getattr(instance, "interactions", 1),
                     randomized=getattr(instance, "randomized", False),
-                    verification_radius=getattr(instance, "verification_radius", 1),
                 )
         entry = RegistryEntry(name=name, factory=factory, kind=kind,
                               description=description)
@@ -246,5 +245,5 @@ def _register_builtin_schemes(registry: SchemeRegistry) -> None:
     registry.register(UniversalPlanarityScheme.name, UniversalPlanarityScheme)
     registry.register(PlanarityDMAMProtocol.name, PlanarityDMAMProtocol,
                       kind="interactive")
-    for kernel in builtin_kernels():  # empty when numpy is unavailable
+    for kernel in builtin_kernels():
         registry.register_kernel(kernel.scheme_name, kernel)

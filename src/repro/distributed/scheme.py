@@ -10,13 +10,14 @@ pair (Section 2 of the paper):
   all nodes accept.
 
 The verifier is a purely local function of a node's
-:class:`~repro.distributed.network.LocalView`.  A *locally checkable proof*
-(LCP) relaxes the model by allowing more verification rounds and the exchange
-of full node states; in this library the distinction is captured by the
-``verification_radius`` attribute and by the fact that views always include
-the neighbors' identifiers (which PLSs with sub-logarithmic certificates
-could not afford to transmit — the distinction only matters for the lower
-bounds, which we reproduce as explicit constructions).
+:class:`~repro.distributed.network.LocalView`, checked in one round: the node
+sees its own identifier and certificate and its neighbors' identifiers and
+certificates.  A *locally checkable proof* (LCP) relaxes the model by
+allowing more verification rounds; every scheme here, Theorem 1's included,
+needs only one.  Views always include the neighbors' identifiers (which
+PLSs with sub-logarithmic certificates could not afford to transmit — the
+distinction only matters for the lower bounds, which we reproduce as
+explicit constructions).
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ class ProofLabelingScheme(ABC):
 
     #: human-readable name used by the comparison tables
     name: str = "abstract-scheme"
-    #: number of communication rounds the verifier needs
-    verification_radius: int = 1
     #: whether the verifier uses randomness (False for every PLS in the paper)
     randomized: bool = False
     #: number of prover/verifier interactions (1 for a PLS, 3 for dMAM, ...)
@@ -66,19 +65,16 @@ class ProofLabelingScheme(ABC):
             name=self.name,
             interactions=self.interactions,
             randomized=self.randomized,
-            verification_radius=self.verification_radius,
         )
 
 
 class SchemeDescription:
-    """Static description of a scheme (interactions, randomness, radius)."""
+    """Static description of a scheme (interactions, randomness)."""
 
-    def __init__(self, name: str, interactions: int, randomized: bool,
-                 verification_radius: int) -> None:
+    def __init__(self, name: str, interactions: int, randomized: bool) -> None:
         self.name = name
         self.interactions = interactions
         self.randomized = randomized
-        self.verification_radius = verification_radius
 
     def as_row(self) -> dict[str, object]:
         """Return the description as a table row."""
@@ -86,9 +82,10 @@ class SchemeDescription:
             "scheme": self.name,
             "interactions": self.interactions,
             "randomized": self.randomized,
-            "verification_rounds": self.verification_radius,
+            # every verifier here, interactive ones included, checks in one round
+            "verification_rounds": 1,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"SchemeDescription({self.name!r}, interactions={self.interactions}, "
-                f"randomized={self.randomized}, radius={self.verification_radius})")
+                f"randomized={self.randomized})")

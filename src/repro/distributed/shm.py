@@ -53,8 +53,6 @@ Fallback matrix (the pickle path stays fully supported):
 =====================================  =========================
 condition                              behaviour
 =====================================  =========================
-``multiprocessing.shared_memory``      ``export_network`` returns ``None``;
-or numpy unavailable                   callers ship the network itself
 network refused by the vectorized      ``None`` (no compiled arrays to
 compiler (n < 2, isolated nodes,       share); pickle fallback
 oversized ids)
@@ -68,28 +66,19 @@ handle inside a ``run_trials`` spec    resolved transparently (serial and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.distributed.network import Network
 from repro.graphs.graph import Graph
 from repro.observability.tracer import current as current_tracer
 
-try:  # the shm plane needs both numpy and the shared_memory module
-    import numpy as np
-    from multiprocessing import resource_tracker, shared_memory
-
-    HAVE_SHM = True
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None  # type: ignore[assignment]
-    shared_memory = None  # type: ignore[assignment]
-    resource_tracker = None  # type: ignore[assignment]
-    HAVE_SHM = False
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vectorized.compiler import VectorContext
 
 __all__ = [
-    "HAVE_SHM",
     "SharedArtifact",
     "SharedNetworkHandle",
     "export_arrays",
@@ -142,8 +131,6 @@ class SharedArtifact:
         and unregisters it from that process's ``resource_tracker`` (the
         creator keeps the registration — see the module docstring).
         """
-        if not HAVE_SHM:
-            raise RuntimeError("shared memory is unavailable on this platform")
         tracer = current_tracer()
         with tracer.span("shm_attach") as sp:
             if sp:
@@ -204,8 +191,6 @@ class SharedArtifact:
             if segment.creator:
                 segment.shm.unlink()
             return
-        if not HAVE_SHM:  # pragma: no cover - nothing to clean up
-            return
         try:  # segment created by another process; best-effort cleanup
             shm = shared_memory.SharedMemory(name=self.name)
         except FileNotFoundError:
@@ -239,8 +224,6 @@ def export_arrays(arrays: dict[str, Any]) -> SharedArtifact:
     for the lifecycle contract); tracing records an ``shm_export`` span and
     a ``bytes_shared`` counter.
     """
-    if not HAVE_SHM:
-        raise RuntimeError("shared memory is unavailable on this platform")
     contiguous = {key: np.ascontiguousarray(value)
                   for key, value in arrays.items()}
     manifest: list[tuple[str, str, tuple[int, ...], int]] = []
@@ -294,12 +277,10 @@ class SharedNetworkHandle:
 def export_network(ctx: "VectorContext") -> SharedNetworkHandle | None:
     """Place a compiled :class:`VectorContext` into shared memory.
 
-    Returns ``None`` when the context cannot be shared — shm unavailable,
-    or node labels that are not plain ints (the label column is int64; see
-    the fallback matrix in the module docstring).
+    Returns ``None`` when the context cannot be shared: node labels that are
+    not plain ints (the label column is int64; see the fallback matrix in the
+    module docstring).
     """
-    if not HAVE_SHM:
-        return None
     if any(type(label) is not int for label in ctx.labels):
         return None
     artifact = export_arrays({

@@ -33,7 +33,6 @@ class VerificationResult:
     scheme_name: str
     decisions: dict[Node, bool]
     certificate_bits: dict[Node, int]
-    verification_radius: int = 1
     notes: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -101,16 +100,13 @@ def certificate_statistics(certificates: dict[Node, Any]) -> dict[Node, int]:
 def run_verification(scheme: ProofLabelingScheme, network: Network,
                      certificates: dict[Node, Any]) -> VerificationResult:
     """Run the scheme's verifier at every node under ``certificates``."""
-    radius = scheme.verification_radius
     decisions: dict[Node, bool] = {}
     for node in network.nodes():
-        view = network.local_view(node, certificates, radius=radius)
-        decisions[node] = bool(scheme.verify(view))
+        decisions[node] = bool(scheme.verify(network.local_view(node, certificates)))
     return VerificationResult(
         scheme_name=scheme.name,
         decisions=decisions,
         certificate_bits=certificate_statistics(certificates),
-        verification_radius=radius,
     )
 
 

@@ -189,7 +189,7 @@ class DynamicAuditor:
         certificates = self.certificates
         verify = self.scheme.verify
         return {node: bool(verify(assemble_view(
-                    structure_at(network, node, 1), certificates, 1)))
+                    structure_at(network, node), certificates)))
                 for node in nodes}
 
     def decisions_digest(self) -> str:

@@ -104,10 +104,10 @@ def _cascade_limit(n: int) -> int:
 
 def _validate(scheme: Any, network: Any, certificates: dict[Node, Any],
               nodes: Iterable[Node]) -> bool:
-    """Reference-verify ``nodes`` under ``certificates`` (radius-1 views)."""
+    """Reference-verify ``nodes`` under ``certificates``."""
     verify = scheme.verify
     for node in set(nodes):
-        view = assemble_view(structure_at(network, node, 1), certificates, 1)
+        view = assemble_view(structure_at(network, node), certificates)
         if not verify(view):
             return False
     return True

@@ -193,10 +193,6 @@ class IndexedGraph:
         gathers over ``indices`` see neighbors in the same deterministic order
         as the Python traversal helpers.  The arrays are materialised once per
         compiled graph and must be treated as read-only.
-
-        Raises :class:`ImportError` when numpy is unavailable; callers that
-        merely *prefer* the arrays (the vectorized verification backend) gate
-        on availability and fall back to the list-based accessors.
         """
         cached = self._csr_arrays
         if cached is None:

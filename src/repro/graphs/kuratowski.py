@@ -14,8 +14,8 @@ test per edge per pass — quadratic in practice, and the bottleneck of every
 soundness sweep that needs honest Kuratowski certificates above ``n ~ 500``.
 :func:`find_kuratowski_subdivision` therefore exits early through a cheap
 *structural validation* (:func:`_as_subdivision`): strip low-degree vertices
-and, if the remainder provably is a subdivision already, return it after a
-single planarity test plus linear work.  That is exactly the shape of the
+and, if the remainder provably is a subdivision already, return it after
+linear work and no planarity test.  That is exactly the shape of the
 sweeps' witness instances (``k5_subdivision`` / ``k33_subdivision``
 generators), which makes honest non-planarity proving linear there.
 
@@ -192,10 +192,12 @@ def find_kuratowski_subdivision(graph: Graph) -> KuratowskiSubdivision:
 
     The input itself — stripped of low-degree vertices — is structurally
     validated first, so graphs that already are subdivisions (the sweeps'
-    honest witness instances) cost one planarity test plus linear work.
-    Every other input is minimised by divide and conquer over the edge set
-    (:func:`_minimal_nonplanar_core` — one planarity test can discard half
-    the candidate edges) and the core is validated the same way.
+    honest witness instances) cost linear work and no planarity test: a
+    validated subdivision is non-planar by Kuratowski's theorem.  Every
+    other input is tested for planarity once, then minimised by divide and
+    conquer over the edge set (:func:`_minimal_nonplanar_core` — one
+    planarity test can discard half the candidate edges) and the core is
+    validated the same way.
 
     Raises
     ------
@@ -204,13 +206,13 @@ def find_kuratowski_subdivision(graph: Graph) -> KuratowskiSubdivision:
         validation (an edge-minimal non-planar graph is a subdivision of
         ``K5`` or ``K3,3``, so that would be a bug).
     """
-    if is_planar(graph):
-        raise GraphError("graph is planar; it contains no Kuratowski subdivision")
     peeled = graph.copy()
     _peel_low_degree(peeled)
     early = _as_subdivision(peeled)
     if early is not None:
         return early
+    if is_planar(graph):
+        raise GraphError("graph is planar; it contains no Kuratowski subdivision")
     subdivision = _as_subdivision(_minimal_nonplanar_core(graph))
     if subdivision is None:
         raise GraphError("the edge-minimal non-planar core failed Kuratowski validation")

@@ -7,8 +7,10 @@ is the one place that knows how planarity is tested:
 
 * fast necessary conditions (edge-count bounds) reject dense graphs
   without running a full test;
-* the full test runs networkx's left-right planarity algorithm.  Its
-  embedding is converted into our own
+* the full test runs networkx's left-right planarity algorithm.  A yes/no
+  question (:func:`is_planar`, :func:`edge_list_is_planar`) reads only its
+  answer; when an embedding is asked for (:func:`compute_planar_embedding`)
+  it is converted into our own
   :class:`~repro.graphs.embedding.RotationSystem` and re-validated against
   Euler's formula (an independent check implemented in this package) before
   being handed to callers, so a faulty embedding can never silently reach
@@ -47,30 +49,14 @@ def passes_edge_count_bound(graph: Graph) -> bool:
     return graph.number_of_edges() <= planarity_upper_edge_bound(graph.number_of_nodes())
 
 
-def _networkx_embedding(graph: Graph) -> RotationSystem | None:
-    import networkx as nx
-
-    planar, embedding = nx.check_planarity(graph.to_networkx(), counterexample=False)
-    if not planar:
-        return None
-    rotation = RotationSystem.from_networkx_embedding(embedding)
-    # networkx omits isolated nodes from some embedding views; re-add them.
-    embedded = set(rotation.nodes())
-    missing = [node for node in graph.nodes() if node not in embedded]
-    if missing:
-        rotations = {v: rotation.rotation(v) for v in rotation.nodes()}
-        rotations.update({node: [] for node in missing})
-        rotation = RotationSystem(rotations)
-    return rotation
-
-
 def is_planar(graph: Graph) -> bool:
     """Return whether ``graph`` is planar."""
     if graph.number_of_nodes() <= 4:
         return True
     if not passes_edge_count_bound(graph):
         return False
-    return _networkx_embedding(graph) is not None
+    # isolated nodes cannot change planarity, so the edge list decides
+    return edge_list_is_planar(graph.edges())
 
 
 def edge_list_is_planar(edges: Iterable[Edge]) -> bool:
@@ -102,9 +88,19 @@ def compute_planar_embedding(graph: Graph) -> RotationSystem:
         raise NotPlanarError(
             f"graph with n={graph.number_of_nodes()} and m={graph.number_of_edges()} "
             "violates the planar edge bound 3n - 6")
-    rotation = _networkx_embedding(graph)
-    if rotation is None:
+    import networkx as nx
+
+    planar, embedding = nx.check_planarity(graph.to_networkx(), counterexample=False)
+    if not planar:
         raise NotPlanarError("graph is not planar")
+    rotation = RotationSystem.from_networkx_embedding(embedding)
+    # networkx omits isolated nodes from some embedding views; re-add them.
+    embedded = set(rotation.nodes())
+    missing = [node for node in graph.nodes() if node not in embedded]
+    if missing:
+        rotations = {v: rotation.rotation(v) for v in rotation.nodes()}
+        rotations.update({node: [] for node in missing})
+        rotation = RotationSystem(rotations)
     if graph.number_of_nodes() > 0 and graph.is_connected():
         if not rotation.is_planar_embedding():
             raise EmbeddingError(

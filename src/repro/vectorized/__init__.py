@@ -35,15 +35,10 @@ The subsystem has three layers (documented end to end in
   :func:`repro.distributed.registry.default_registry`; the
   :class:`~repro.distributed.engine.SimulationEngine` selects them with
   ``backend="vectorized"`` and falls back to the reference loop for schemes
-  without a kernel (or when numpy is unavailable).
-
-Everything degrades gracefully without numpy: :data:`HAVE_NUMPY` is the gate,
-:func:`builtin_kernels` returns an empty list, and the engine's vectorized
-backend silently serves the reference path.
+  without a kernel.
 """
 
 from repro.vectorized.compiler import (
-    HAVE_NUMPY,
     ID_LIMIT,
     INT_LIMIT,
     UNREPRESENTABLE,
@@ -96,7 +91,6 @@ from repro.vectorized.scheme_kernels import (
 )
 
 __all__ = [
-    "HAVE_NUMPY",
     "ID_LIMIT",
     "INT_LIMIT",
     "UNREPRESENTABLE",

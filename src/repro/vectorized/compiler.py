@@ -36,19 +36,12 @@ from typing import TYPE_CHECKING, Any
 
 from repro.observability.tracer import current as current_tracer
 
-try:  # numpy is an optional dependency of the core library
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.network import Network
 
 __all__ = [
-    "HAVE_NUMPY",
     "INT_LIMIT",
     "ID_LIMIT",
     "COMPILE_CHUNK",
@@ -190,14 +183,12 @@ def build_vector_context(network: "Network") -> VectorContext | None:
     """Compile ``network`` into a :class:`VectorContext`.
 
     Returns ``None`` when the vectorized backend cannot serve this network —
-    numpy missing, fewer than two nodes or any isolated node (``reduceat``
+    fewer than two nodes or any isolated node (``reduceat``
     needs every adjacency block non-empty; a network is born connected but
     its graph may be mutated afterwards), or identifiers too large to
     represent exactly — in which case the engine stays on the reference
     path.
     """
-    if not HAVE_NUMPY:
-        return None
     with current_tracer().span("compile") as sp:
         ctx = _build_vector_context(network)
         if sp:
@@ -319,11 +310,11 @@ def build_batched_context(contexts: list) -> BatchedContext | None:
 
     Returns ``None`` when the batch cannot keep the kernels' composite-key
     arithmetic collision-free — more than ``2**31`` total nodes (the caller
-    splits such sweeps into several batches) — or when numpy is missing.
+    splits such sweeps into several batches) — or when ``contexts`` is empty.
     The inputs are not copied lazily: every array is concatenated once here,
     and the result is cached by the engine keyed on the item networks.
     """
-    if not HAVE_NUMPY or not contexts:
+    if not contexts:
         return None
     sizes = [ctx.n for ctx in contexts]
     total = sum(sizes)

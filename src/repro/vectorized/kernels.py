@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Any, Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.core.building_blocks import (
     HamiltonianPathLabel,
     PathGraphScheme,
@@ -44,16 +46,12 @@ from repro.core.building_blocks import (
     TreeScheme,
 )
 from repro.vectorized.compiler import (
-    HAVE_NUMPY,
     ID_LIMIT,
     CertificateTable,
     FieldSpec,
     VectorContext,
     compile_certificates,
 )
-
-if HAVE_NUMPY:
-    import numpy as np
 
 __all__ = [
     "VectorizedKernel",
@@ -291,7 +289,7 @@ class TreeKernel:
     coverage = "full"
 
     def supports(self, scheme: Any) -> bool:
-        return type(scheme) is TreeScheme and scheme.verification_radius == 1
+        return type(scheme) is TreeScheme
 
     def accept_vector(self, ctx: VectorContext, scheme: Any,
                       certificates: dict[Any, Any]) -> tuple[Any, Any]:
@@ -317,7 +315,7 @@ class PathGraphKernel:
     coverage = "full"
 
     def supports(self, scheme: Any) -> bool:
-        return type(scheme) is PathGraphScheme and scheme.verification_radius == 1
+        return type(scheme) is PathGraphScheme
 
     def accept_vector(self, ctx: VectorContext, scheme: Any,
                       certificates: dict[Any, Any]) -> tuple[Any, Any]:
@@ -333,9 +331,7 @@ class PathGraphKernel:
 
 
 def builtin_kernels() -> list:
-    """Return the kernels shipped with the library (empty without numpy)."""
-    if not HAVE_NUMPY:
-        return []
+    """Return the kernels shipped with the library."""
     # imported lazily: the paper and scheme kernels build on this module's
     # sub-checks
     from repro.vectorized.paper_kernels import NonPlanarityKernel, PlanarityKernel

@@ -51,6 +51,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.core.nonplanarity_scheme import (
     KIND_K33,
     KIND_K5,
@@ -70,7 +72,6 @@ from repro.core.planarity_scheme import (
 from repro.core.building_blocks import SpanningTreeLabel
 from repro.observability.tracer import current as current_tracer
 from repro.vectorized.compiler import (
-    HAVE_NUMPY,
     ID_LIMIT,
     UNREPRESENTABLE,
     FieldSpec,
@@ -86,9 +87,6 @@ from repro.vectorized.kernels import (
     spanning_tree_accept,
     view_fallback,
 )
-
-if HAVE_NUMPY:
-    import numpy as np
 
 __all__ = [
     "NESTED_SPANNING_TREE_FIELDS",
@@ -273,7 +271,7 @@ class NonPlanarityKernel:
     coverage = "full"
 
     def supports(self, scheme: Any) -> bool:
-        return type(scheme) is NonPlanarityScheme and scheme.verification_radius == 1
+        return type(scheme) is NonPlanarityScheme
 
     def accept_vector(self, ctx: VectorContext, scheme: Any,
                       certificates: dict[Any, Any]) -> tuple[Any, Any]:
@@ -425,8 +423,8 @@ _JOIN_BUDGET_FACTOR = 64
 #: already rejected)
 _INDEX_ENC = 1 << 32
 
-_INT64_MIN = np.iinfo(np.int64).min if HAVE_NUMPY else 0
-_INT64_MAX = np.iinfo(np.int64).max if HAVE_NUMPY else 0
+_INT64_MIN = np.iinfo(np.int64).min
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _enc_index(values: Any) -> Any:
@@ -496,7 +494,7 @@ class PlanarityKernel:
     batch_node_budget = 18_000
 
     def supports(self, scheme: Any) -> bool:
-        return type(scheme) is PlanarityScheme and scheme.verification_radius == 1
+        return type(scheme) is PlanarityScheme
 
     def accept_vector(self, ctx: VectorContext, scheme: Any,
                       certificates: dict[Any, Any]) -> tuple[Any, Any]:

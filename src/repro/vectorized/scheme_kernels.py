@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.baselines.dmam import (
     _REJECT,
     _SINGLE_NODE,
@@ -47,7 +49,6 @@ from repro.core.po_scheme import PathOuterplanarLabel, PathOuterplanarScheme
 from repro.graphs.planarity import is_planar
 from repro.observability.tracer import current as current_tracer
 from repro.vectorized.compiler import (
-    HAVE_NUMPY,
     ID_LIMIT,
     UNREPRESENTABLE,
     FieldSpec,
@@ -68,9 +69,6 @@ from repro.vectorized.paper_kernels import (
     _enc_index,
     _sorted_lookup,
 )
-
-if HAVE_NUMPY:
-    import numpy as np
 
 __all__ = [
     "PATH_OUTERPLANAR_FIELDS",
@@ -142,7 +140,7 @@ class PathOuterplanarKernel:
     coverage = "full"
 
     def supports(self, scheme: Any) -> bool:
-        return type(scheme) is PathOuterplanarScheme and scheme.verification_radius == 1
+        return type(scheme) is PathOuterplanarScheme
 
     def accept_vector(self, ctx: Any, scheme: Any,
                       certificates: dict[Any, Any]) -> tuple[Any, Any]:
@@ -338,8 +336,7 @@ class UniversalMapKernel:
     coverage = "full"
 
     def supports(self, scheme: Any) -> bool:
-        return (type(scheme) is UniversalPlanarityScheme
-                and scheme.verification_radius == 1)
+        return type(scheme) is UniversalPlanarityScheme
 
     def accept_vector(self, ctx: Any, scheme: Any,
                       certificates: dict[Any, Any]) -> tuple[Any, Any]:

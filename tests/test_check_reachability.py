@@ -1,8 +1,8 @@
 """Tests for ``scripts/check_reachability.py``, the dead-code gate.
 
 Most tests build a small repository under ``tmp_path`` and point the
-script's module globals at it; the first two run the script itself, on this
-repository and on a copy of it with one planted definition.
+script's module globals at it; the first three run the script itself, on
+this repository and on copies of it with one planted definition or import.
 """
 
 from __future__ import annotations
@@ -31,6 +31,16 @@ def _load_check_reachability():
 def _run_script(script: Path) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, str(script)], capture_output=True,
                           text=True, timeout=120)
+
+
+def _copy_searched(destination: Path) -> None:
+    """Copy the Python files of the searched directories into ``destination``."""
+    def keep_python(directory, names):
+        return [name for name in names if name == "__pycache__" or (
+            not name.endswith(".py") and not Path(directory, name).is_dir())]
+
+    for directory in SEARCHED:
+        shutil.copytree(REPO / directory, destination / directory, ignore=keep_python)
 
 
 @pytest.fixture
@@ -72,12 +82,7 @@ class TestOnThisRepository:
         assert result.stdout.startswith("reachability ok")
 
     def test_planted_definition_in_a_copy_fails(self, tmp_path):
-        def keep_python(directory, names):
-            return [name for name in names if name == "__pycache__" or (
-                not name.endswith(".py") and not Path(directory, name).is_dir())]
-
-        for directory in SEARCHED:
-            shutil.copytree(REPO / directory, tmp_path / directory, ignore=keep_python)
+        _copy_searched(tmp_path)
         target = tmp_path / "src" / "repro" / "graphs" / "traversal.py"
         source = target.read_text()
         target.write_text(source + "\n\ndef planted_helper():\n    return None\n")
@@ -88,6 +93,18 @@ class TestOnThisRepository:
         assert result.stdout.splitlines() == [
             "unreached outside tests: src/repro/graphs/traversal.py:"
             f"{line}: repro.graphs.traversal.planted_helper"]
+
+    def test_planted_import_in_a_copy_fails(self, tmp_path):
+        _copy_searched(tmp_path)
+        target = tmp_path / "src" / "repro" / "graphs" / "traversal.py"
+        source = target.read_text()
+        target.write_text(source + "\nimport os\n")
+        line = source.count("\n") + 2
+
+        result = _run_script(tmp_path / "scripts" / "check_reachability.py")
+        assert result.returncode == 1
+        assert result.stdout.splitlines() == [
+            f"unused import: src/repro/graphs/traversal.py:{line}: os"]
 
 
 class TestRules:
@@ -107,12 +124,18 @@ class TestRules:
         assert code == 1 and "pkg.mod.helper" in out
 
     @pytest.mark.parametrize("user", [
-        "from pkg.mod import helper\n",
-        "import pkg.mod\n\npkg.mod.helper()\n",
-    ])
+        # the import alone reaches; perfbench/ is not held to the unused-import rule
+        {"perfbench/demo.py": "from pkg.mod import helper\n"},
+        {"examples/demo.py": "import pkg.mod\n\npkg.mod.helper()\n"},
+    ], ids=["import", "attribute"])
     def test_import_and_attribute_uses_reach(self, check, user):
-        code, out = check({**LIBRARY, "examples/demo.py": user})
+        code, out = check({**LIBRARY, **user})
         assert code == 0, out
+
+    def test_unused_import_still_reaches(self, check):
+        code, out = check({**LIBRARY, "examples/demo.py": "from pkg.mod import helper\n"})
+        assert code == 1
+        assert out.splitlines() == ["unused import: examples/demo.py:1: helper"]
 
     def test_dotted_string_reaches_every_part(self, check):
         code, out = check({
@@ -139,7 +162,7 @@ class TestRules:
 
             def run():
                 return helper()
-            """, "examples/demo.py": "from pkg.user import run\n"})
+            """, "perfbench/demo.py": "from pkg.user import run\n"})
         assert code == 0, out
 
     def test_own_body_does_not_count(self, check):
@@ -265,14 +288,14 @@ class TestAllowlist:
         assert "1 allowlisted" in out
 
     def test_allowlisted_but_reached_fails(self, check):
-        code, out = check({**LIBRARY, "examples/demo.py": "from pkg.mod import helper\n"},
+        code, out = check({**LIBRARY, "perfbench/demo.py": "from pkg.mod import helper\n"},
                           allowlist={"pkg.mod.helper": "public API"})
         assert code == 1
         assert out.splitlines() == [
             "allowlisted but reached (drop the entry): src/pkg/mod.py:1: pkg.mod.helper"]
 
     def test_allowlisted_but_undefined_fails(self, check):
-        code, out = check({**LIBRARY, "examples/demo.py": "from pkg.mod import helper\n"},
+        code, out = check({**LIBRARY, "perfbench/demo.py": "from pkg.mod import helper\n"},
                           allowlist={"pkg.mod.gone": "was public API"})
         assert code == 1
         assert out.splitlines() == ["allowlisted but not defined: pkg.mod.gone"]
@@ -283,3 +306,51 @@ class TestAllowlist:
         for name, reason in module.ALLOWLIST.items():
             assert name.startswith("repro.") and name.count(".") >= 2
             assert isinstance(reason, str) and len(reason.split()) >= 3
+
+
+#: LIBRARY's helper, called from an example
+REACHED = {**LIBRARY, "examples/demo.py": "from pkg.mod import helper\n\nhelper()\n"}
+
+
+class TestUnusedImports:
+    @pytest.mark.parametrize("directory", ["src/pkg", "tests", "benchmarks",
+                                           "scripts", "examples"])
+    def test_unused_import_fails_in_every_checked_directory(self, check, directory):
+        code, out = check({**REACHED,
+                           f"{directory}/extra.py": "import os\nimport json as js\n"})
+        assert code == 1
+        assert out.splitlines() == [f"unused import: {directory}/extra.py:1: os",
+                                    f"unused import: {directory}/extra.py:2: js"]
+
+    def test_perfbench_is_not_checked(self, check):
+        code, out = check({**REACHED, "perfbench/run.py": "import os\n"})
+        assert code == 0, out
+
+    @pytest.mark.parametrize("source", [
+        "import os.path\n\nos.getcwd()\n",
+        "from os import path as p\n\np.join('a')\n",
+        "from __future__ import annotations\n",
+        "from os import path\n\n__all__ = ['path']\n",
+        "from typing import TYPE_CHECKING\n\nif TYPE_CHECKING:\n"
+        "    from pkg.mod import helper\n\n\ndef run(f: 'helper | None') -> None:\n"
+        "    return None\n",
+    ])
+    def test_uses_that_count(self, check, source):
+        code, out = check({**REACHED, "scripts/user.py": source})
+        assert code == 0, out
+
+    def test_package_reexports_are_not_checked(self, check):
+        code, out = check({**REACHED, "src/pkg/__init__.py": "from pkg.mod import helper\n"})
+        assert code == 0, out
+
+    def test_docstring_mention_is_no_use(self, check):
+        code, out = check({**LIBRARY, "examples/demo.py": '''\
+            """Calls helper, then os."""
+            import os
+
+            from pkg.mod import helper
+
+            helper()
+            '''})
+        assert code == 1
+        assert out.splitlines() == ["unused import: examples/demo.py:2: os"]

@@ -135,18 +135,7 @@ class TestNetwork:
         assert view.degree == 4
         assert view.certificate == "cert-0"
         assert set(view.certificates) == {view.center_id, *view.neighbor_ids}
-        assert all(view.ball.has_edge(view.center_id, nid) for nid in view.neighbor_ids)
-
-    def test_radius_two_view_contains_ball(self):
-        network = Network(path_graph(6), seed=4)
-        view = network.local_view(2, {}, radius=2)
-        expected_nodes = {network.id_of(i) for i in (0, 1, 2, 3, 4)}
-        assert set(view.ball.nodes()) == expected_nodes
-
-    def test_invalid_radius(self):
-        network = Network(path_graph(3), seed=1)
-        with pytest.raises(GraphError):
-            network.local_view(0, {}, radius=0)
+        assert view.neighbor_ids == sorted(network.id_of(v) for v in range(1, 5))
 
     def test_id_graph_isomorphic_shape(self):
         graph = cycle_graph(6)

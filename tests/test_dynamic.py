@@ -335,8 +335,6 @@ class TestDynamicAuditorTree:
 # engine delta invalidation
 # ----------------------------------------------------------------------
 class TestEngineDeltaInvalidation:
-    pytest.importorskip("numpy")
-
     def test_warm_engine_matches_cold_under_churn(self):
         network = Network(delaunay_planar_graph(60, seed=3), seed=3)
         scheme = PlanarityScheme()

@@ -10,10 +10,10 @@ from repro.adversary.attacks import random_certificate_attack, transplant_attack
 from repro.core.path_outerplanar import random_path_outerplanar_graph
 from repro.distributed import engine as engine_module
 from repro.distributed.engine import SimulationEngine, derive_seed
-from repro.distributed.network import LocalView, Network
+from repro.distributed.network import Network
 from repro.distributed.registry import default_registry
-from repro.distributed.scheme import ProofLabelingScheme
 from repro.distributed.verifier import run_verification
+from repro.distributed.views import assemble_view, structure_at
 from repro.exceptions import NotInClassError
 from repro.graphs.generators import (
     delaunay_planar_graph,
@@ -45,7 +45,6 @@ def assert_same_result(naive, batched):
     assert naive.scheme_name == batched.scheme_name
     assert naive.decisions == batched.decisions
     assert naive.certificate_bits == batched.certificate_bits
-    assert naive.verification_radius == batched.verification_radius
     assert naive.accepted == batched.accepted
 
 
@@ -96,31 +95,41 @@ class TestEngineEquivalence:
         engine = SimulationEngine()
         network = Network(PLANAR_GRAPH, seed=3)
         certificates = {node: index for index, node in enumerate(network.nodes())}
-        batched = engine.views(network, certificates)
-        for node in network.nodes():
-            assert batched[node] == network.local_view(node, certificates)
+        structures = engine.structures(network)
+        assert [s.node for s in structures] == network.nodes()
+        for structure in structures:
+            assert assemble_view(structure, certificates) == \
+                network.local_view(structure.node, certificates)
 
-    def test_radius_two_scheme_matches_naive(self):
-        class BallScheme(ProofLabelingScheme):
-            name = "radius-2-ball"
-            verification_radius = 2
 
-            def is_member(self, graph):
-                return True
+class TestOneRoundViews:
+    """The view layer builds exactly :meth:`Network.local_view`'s one-round view."""
 
-            def prove(self, network):
-                return {node: network.graph.degree(node) for node in network.nodes()}
-
-            def verify(self, view: LocalView) -> bool:
-                return view.ball.number_of_nodes() > view.degree and \
-                    view.certificate == view.degree
-
-        scheme = BallScheme()
+    @pytest.mark.parametrize("graph", [
+        delaunay_planar_graph(40, seed=4), random_tree(30, seed=4),
+        k5_subdivision(3, seed=4)], ids=["mesh", "tree", "k5-subdivision"])
+    def test_every_view_equals_the_reference(self, graph):
         engine = SimulationEngine()
-        network = Network(PLANAR_GRAPH, seed=9)
-        certificates = scheme.prove(network)
-        assert_same_result(run_verification(scheme, network, certificates),
-                           engine.verify(scheme, network, certificates))
+        network = Network(graph, seed=4)
+        certificates = {node: ("cert", index)
+                        for index, node in enumerate(network.nodes())}
+        cached = engine.structures(network)
+        for index, node in enumerate(network.nodes()):
+            reference = network.local_view(node, certificates)
+            assert set(reference.certificates) == {
+                network.id_of(node), *(network.id_of(v) for v in graph.neighbors(node))}
+            on_demand = assemble_view(structure_at(network, node, 1), certificates, 1)
+            assert on_demand == reference
+            assert cached[index].node == node
+            assert assemble_view(cached[index], certificates) == reference
+
+    def test_radius_two_is_refused(self):
+        network = Network(path_graph(6), seed=4)
+        with pytest.raises(ValueError):
+            structure_at(network, 2, 2)
+        structure = structure_at(network, 2, 1)
+        with pytest.raises(ValueError):
+            assemble_view(structure, {}, 2)
 
 
 class TestAttacksThroughEngine:
@@ -212,7 +221,7 @@ class TestEngineCaches:
         refs = [weakref.ref(g) for g in graphs]
         for graph in graphs:
             network = engine.network_for(graph, seed=0)
-            engine.structures(network, 1)  # populate dependent caches too
+            engine.structures(network)  # populate dependent caches too
         assert len(engine._networks) == 2
         del graphs, network
         gc.collect()
@@ -223,11 +232,12 @@ class TestEngineCaches:
         assert len(engine._states) == 2
         assert all(state.structures for state in engine._states.values())
 
-    def test_structures_cached_per_radius(self):
+    def test_structures_cached_per_network(self):
         engine = SimulationEngine()
         network = Network(random_tree(10, seed=3), seed=3)
-        assert engine.structures(network, 1) is engine.structures(network, 1)
-        assert engine.structures(network, 1) is not engine.structures(network, 2)
+        assert engine.structures(network) is engine.structures(network)
+        twin = Network(random_tree(10, seed=3), seed=3)
+        assert engine.structures(twin) is not engine.structures(network)
 
     def test_graph_mutation_invalidates_network_caches(self):
         scheme = default_registry().create("tree-pls")
@@ -257,8 +267,10 @@ class TestEngineCaches:
         engine = SimulationEngine()
         network = Network(PLANAR_GRAPH, seed=2)
         certificates = engine.certify(scheme, network)
-        for view in engine.views(network, certificates).values():
+        for structure in engine.structures(network):
+            view = assemble_view(structure, certificates)
             view.neighbor_ids.sort(reverse=True)  # scratch work on the view
+            view.certificates.clear()
         after = engine.verify(scheme, network, certificates)
         assert after.decisions == run_verification(scheme, network,
                                                    certificates).decisions
@@ -266,9 +278,9 @@ class TestEngineCaches:
     def test_clear_caches(self):
         engine = SimulationEngine()
         network = Network(random_tree(10, seed=3), seed=3)
-        first = engine.structures(network, 1)
+        first = engine.structures(network)
         engine.clear_caches()
-        assert engine.structures(network, 1) is not first
+        assert engine.structures(network) is not first
 
     def test_certificate_stats_cached_only_for_honest_assignments(self):
         scheme = default_registry().create("tree-pls")
@@ -445,16 +457,11 @@ class TestTrialFanOut:
             SimulationEngine(workers=0)
 
     def test_trial_seeds_deterministic(self):
-        engine = SimulationEngine(seed=42)
-        assert engine.trial_seed(3) == derive_seed(42, 3)
-        assert engine.trial_seed(3) == SimulationEngine(seed=42).trial_seed(3)
-        assert engine.trial_seed(3) != engine.trial_seed(4)
-        assert SimulationEngine().trial_seed(3) is None
-
-    def test_engine_rng_reproducible(self):
-        a = SimulationEngine(seed=9).rng(2).random()
-        b = SimulationEngine(seed=9).rng(2).random()
-        assert a == b
+        assert derive_seed(42, 3) == derive_seed(42, 3)
+        assert derive_seed(42, 3) != derive_seed(42, 4)
+        assert derive_seed(None, 3) is None
+        draws = [random.Random(derive_seed(9, 2)).random() for _ in range(2)]
+        assert draws[0] == draws[1]
 
 
 class TestNetworkRngPlumbing:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.path_outerplanar import is_path_outerplanar_witness
-from repro.exceptions import GraphError, NotPlanarError
+from repro.distributed.network import Network
+from repro.exceptions import GraphError, NotInClassError, NotPlanarError
+from repro.graphs.embedding import RotationSystem
 from repro.graphs.generators import (
     NONPLANAR_FAMILIES,
     PLANAR_FAMILIES,
@@ -81,6 +83,66 @@ class TestPlanarityTest:
             compute_planar_embedding(petersen_graph())
         with pytest.raises(NotPlanarError):
             compute_planar_embedding(complete_graph(7))
+
+    def test_yes_no_answer_builds_no_embedding(self, monkeypatch):
+        """``is_planar`` answers without converting an embedding it would drop."""
+        def refuse(cls, embedding):
+            raise AssertionError("is_planar converted an embedding")
+
+        monkeypatch.setattr(RotationSystem, "from_networkx_embedding",
+                            classmethod(refuse))
+        graph = delaunay_planar_graph(60, seed=2)
+        graph.add_node("isolated")
+        assert is_planar(graph)
+        assert not is_planar(k5_subdivision(3, seed=1))
+        assert not is_planar(petersen_graph())
+
+
+def _count_planarity_tests(monkeypatch) -> list[int]:
+    """Patch networkx's planarity test to count its calls; return the counter."""
+    import networkx as nx
+
+    calls = [0]
+    check_planarity = nx.check_planarity
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return check_planarity(*args, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", counted)
+    return calls
+
+
+class TestOnePlanarityTestPerProof:
+    """Each prover answers membership and builds its proof from one test."""
+
+    def test_nonplanarity_prove(self, monkeypatch):
+        from repro.core.nonplanarity_scheme import NonPlanarityScheme
+
+        network = Network(k5_subdivision(3, seed=1), seed=1)
+        calls = _count_planarity_tests(monkeypatch)
+        NonPlanarityScheme().prove(network)
+        assert calls == [1]
+
+    def test_nonplanarity_prove_refuses_a_planar_graph(self):
+        from repro.core.nonplanarity_scheme import NonPlanarityScheme
+
+        with pytest.raises(NotInClassError):
+            NonPlanarityScheme().prove(Network(grid_graph(4, 4), seed=1))
+
+    def test_dmam_first_turn(self, monkeypatch):
+        from repro.baselines.dmam import PlanarityDMAMProtocol
+
+        network = Network(delaunay_planar_graph(50, seed=3), seed=3)
+        calls = _count_planarity_tests(monkeypatch)
+        PlanarityDMAMProtocol().first_turn(network)
+        assert calls == [1]
+
+    def test_dmam_first_turn_refuses_a_nonplanar_graph(self):
+        from repro.baselines.dmam import PlanarityDMAMProtocol
+
+        with pytest.raises(NotInClassError):
+            PlanarityDMAMProtocol().first_turn(Network(petersen_graph(), seed=1))
 
 
 class TestKuratowski:

@@ -105,9 +105,7 @@ class TestRegistryBehaviour:
 
     def test_kernel_discovery_with_and_without_kernels(self):
         """``kernel_for`` resolves exactly the schemes that registered a
-        kernel and whose ``supports`` check passes (numpy installs only —
-        the registry itself is kernel-agnostic either way)."""
-        pytest.importorskip("numpy")
+        kernel and whose ``supports`` check passes."""
         registry = default_registry()
         with_kernels = {name for name in registry.names()
                         if registry.kernel(name) is not None}
@@ -127,7 +125,6 @@ class TestRegistryBehaviour:
     def test_kernel_reregistration(self):
         """Re-registration: duplicate guarded, replace swaps, scheme
         re-registration keeps the kernel, unregistering drops it."""
-        pytest.importorskip("numpy")
         from repro.vectorized import PlanarityKernel
 
         registry = SchemeRegistry()
@@ -152,7 +149,6 @@ class TestRegistryBehaviour:
         documented contract; it must agree with ``default_registry()`` —
         scheme set, kinds, kernel classes, the kind→runtime mapping, and
         each kernel's declared coverage level."""
-        pytest.importorskip("numpy")
         docs = Path(__file__).resolve().parent.parent / "docs" / "ARCHITECTURE.md"
         rows = re.findall(
             r"^\| `([\w-]+)` \| (\w+) \| (?:`(\w+)`|—) \| `engine\.(\w+)` \| (\w+)",
@@ -210,7 +206,6 @@ class TestRegistryBehaviour:
     def test_every_builtin_scheme_has_kernel_coverage(self):
         """PR 6 completes the backend-support matrix: every registered
         scheme — all seven rows — ships a kernel with a declared coverage."""
-        pytest.importorskip("numpy")
         registry = default_registry()
         assert {name for name in registry.names()
                 if registry.kernel(name) is not None} == EXPECTED_NAMES
@@ -223,7 +218,6 @@ class TestRegistryBehaviour:
     def test_planarity_kernel_is_full_coverage(self):
         """PR 5's contract flip, pinned: the planarity kernel is a full
         kernel, not a prefilter."""
-        pytest.importorskip("numpy")
         assert default_registry().kernel_coverage("planarity-pls") == "full"
 
     def test_explicit_description_skips_factory_call(self):
@@ -234,7 +228,7 @@ class TestRegistryBehaviour:
             return PlanarityScheme()
 
         registry = SchemeRegistry()
-        description = SchemeDescription("custom", 1, False, 1)
+        description = SchemeDescription("custom", 1, False)
         registry.register("custom", factory, description=description)
         assert registry.describe("custom") is description
         assert not calls

@@ -13,9 +13,8 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.adversary.campaign import campaign_graph
 from repro.adversary.strategies import STRATEGIES
@@ -28,9 +27,6 @@ from repro.exceptions import GraphError
 from repro.graphs.generators import delaunay_planar_graph
 from repro.graphs.graph import Graph
 from repro.observability.tracer import start_tracing, stop_tracing
-
-pytestmark = pytest.mark.skipif(not shm.HAVE_SHM,
-                                reason="shared memory unavailable")
 
 
 def active_segments() -> dict[str, int]:

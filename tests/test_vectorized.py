@@ -7,9 +7,8 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.adversary.corruption import (
     corrupt_assignment,
