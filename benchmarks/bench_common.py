@@ -95,8 +95,10 @@ def provenance(workers: int | None = None,
     files differed from it (``git_dirty``; both ``None`` when unavailable,
     e.g. outside a checkout) make the committed ``BENCH_*.json`` payloads
     attributable to an exact kernel implementation.  The networkx version is
-    there because every certificate bit count depends on the planar
-    embedding networkx returns.
+    the tests' planarity oracle's: the library's own left-right test
+    returns networkx's rotation system (held equal in
+    ``tests/test_planarity_oracle.py``), so certificate bit counts do not
+    depend on it, and CI's ledger step prints it beside the committed one.
 
     ``observability`` embeds a metrics/span snapshot (see
     :func:`observability_snapshot`) so a committed payload also records

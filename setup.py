@@ -12,15 +12,15 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=[
-        # planarity/embedding backend of the honest prover
-        "networkx>=3.0",
         # CSR arrays, the repro.vectorized bulk-verification kernels and
         # the shared-memory plane of repro.distributed.shm
         "numpy>=1.24",
     ],
     extras_require={
-        # Delaunay instance generator
-        "benchmarks": ["scipy"],
-        "tests": ["pytest", "hypothesis"],
+        # Delaunay instance generator; networkx's version goes in every
+        # benchmark's provenance header
+        "benchmarks": ["scipy", "networkx>=3.0"],
+        # networkx is the planarity test's oracle
+        "tests": ["pytest", "hypothesis", "networkx>=3.0"],
     },
 )

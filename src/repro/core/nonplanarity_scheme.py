@@ -31,7 +31,7 @@ from repro.core.building_blocks import (
 from repro.distributed.certificates import BitWriter, Encodable, encode_nested
 from repro.distributed.network import LocalView, Network
 from repro.distributed.scheme import ProofLabelingScheme
-from repro.exceptions import NotInClassError
+from repro.exceptions import NotInClassError, PlanarGraphError
 from repro.graphs.graph import Graph, Node
 from repro.graphs.kuratowski import find_kuratowski_subdivision
 from repro.graphs.planarity import is_planar
@@ -138,9 +138,13 @@ class NonPlanarityScheme(ProofLabelingScheme):
 
     def prove(self, network: Network) -> dict[Node, NonPlanarityCertificate]:
         graph = network.graph
-        if not self.is_member(graph):
-            raise NotInClassError("the network is planar; non-planarity cannot be certified")
-        subdivision = find_kuratowski_subdivision(graph)
+        # The extraction decides membership itself, with at most one
+        # whole-graph planarity test: a subdivision input needs none.
+        try:
+            subdivision = find_kuratowski_subdivision(graph)
+        except PlanarGraphError as error:
+            raise NotInClassError(
+                "the network is planar; non-planarity cannot be certified") from error
         kind = KIND_K5 if subdivision.kind == "K5" else KIND_K33
         branch_vertices = list(subdivision.branch_vertices)
         if kind == KIND_K33:

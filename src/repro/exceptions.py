@@ -26,6 +26,10 @@ class NotPlanarError(GraphError):
     """The operation requires a planar graph but received a non-planar one."""
 
 
+class PlanarGraphError(GraphError):
+    """The operation requires a non-planar graph but received a planar one."""
+
+
 class NotInClassError(ReproError):
     """The honest prover was asked to certify a graph outside the target class.
 

@@ -149,14 +149,6 @@ class RotationSystem:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_networkx_embedding(cls, embedding: object) -> "RotationSystem":
-        """Build a rotation system from a :class:`networkx.PlanarEmbedding`."""
-        rotations: dict[Node, list[Node]] = {}
-        for node in embedding.nodes():  # type: ignore[attr-defined]
-            rotations[node] = list(embedding.neighbors_cw_order(node))  # type: ignore[attr-defined]
-        return cls(rotations)
-
-    @classmethod
     def trivial(cls, graph: Graph) -> "RotationSystem":
         """Build an arbitrary (not necessarily planar) rotation system for ``graph``."""
         return cls({node: sorted(graph.neighbors(node), key=repr) for node in graph.nodes()})

@@ -3,9 +3,9 @@
 The distributed-certification algorithms in this library only need simple
 connected graphs with distinct node identifiers, so instead of pulling a
 heavyweight dependency into the core data path we implement a compact
-adjacency-set structure here.  :meth:`Graph.to_networkx` converts a graph
-for the planarity test (:mod:`repro.graphs.planarity`), which runs networkx's
-implementation.
+adjacency-set structure here.  Nothing in the library converts to or from
+networkx: the planarity test (:mod:`repro.graphs.planarity`) runs on flat
+integer lists built straight from this adjacency.
 
 Nodes can be arbitrary hashable objects; in the distributed model each node
 additionally carries an integer *identifier* (see
@@ -338,15 +338,3 @@ class Graph:
             raise GraphError("relabeling mapping is not injective on the node set")
         return Graph(nodes=new_names,
                      edges=((mapping.get(u, u), mapping.get(v, v)) for u, v in self.edges()))
-
-    # ------------------------------------------------------------------
-    # interop
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> Any:
-        """Return an equivalent :class:`networkx.Graph`."""
-        import networkx as nx
-
-        nxg = nx.Graph()
-        nxg.add_nodes_from(self.nodes())
-        nxg.add_edges_from(self.edges())
-        return nxg

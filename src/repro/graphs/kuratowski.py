@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, PlanarGraphError
 from repro.graphs.graph import Graph, Node
 from repro.graphs.planarity import edge_list_is_planar, is_planar
 
@@ -201,10 +201,14 @@ def find_kuratowski_subdivision(graph: Graph) -> KuratowskiSubdivision:
 
     Raises
     ------
+    PlanarGraphError
+        If ``graph`` is planar (a :class:`GraphError`, so callers that ask
+        for a subdivision only of non-planar graphs need not tell the two
+        apart).
     GraphError
-        If ``graph`` is planar, or if the minimal core fails structural
-        validation (an edge-minimal non-planar graph is a subdivision of
-        ``K5`` or ``K3,3``, so that would be a bug).
+        If the minimal core fails structural validation (an edge-minimal
+        non-planar graph is a subdivision of ``K5`` or ``K3,3``, so that
+        would be a bug).
     """
     peeled = graph.copy()
     _peel_low_degree(peeled)
@@ -212,7 +216,7 @@ def find_kuratowski_subdivision(graph: Graph) -> KuratowskiSubdivision:
     if early is not None:
         return early
     if is_planar(graph):
-        raise GraphError("graph is planar; it contains no Kuratowski subdivision")
+        raise PlanarGraphError("graph is planar; it contains no Kuratowski subdivision")
     subdivision = _as_subdivision(_minimal_nonplanar_core(graph))
     if subdivision is None:
         raise GraphError("the edge-minimal non-planar core failed Kuratowski validation")

@@ -42,10 +42,11 @@ class TestTraversal:
 
     def test_bfs_parents_give_shortest_paths(self):
         import networkx as nx
+        from networkx_oracle import to_networkx
 
         graph = cycle_graph(8)
         parents = bfs_parents(graph, 0)
-        distances = nx.single_source_shortest_path_length(graph.to_networkx(), 0)
+        distances = nx.single_source_shortest_path_length(to_networkx(graph), 0)
         for node, parent in parents.items():
             if parent is not None:
                 assert distances[node] == distances[parent] + 1

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.path_outerplanar import is_path_outerplanar_witness
 from repro.distributed.network import Network
 from repro.exceptions import GraphError, NotInClassError, NotPlanarError
-from repro.graphs.embedding import RotationSystem
 from repro.graphs.generators import (
     NONPLANAR_FAMILIES,
     PLANAR_FAMILIES,
@@ -59,11 +58,12 @@ class TestPlanarityTest:
 
     def test_cross_check_with_networkx(self):
         import networkx as nx
+        from networkx_oracle import to_networkx
 
         for seed in range(5):
             graph = random_nonplanar_graph(15, seed=seed) if seed % 2 else \
                 random_planar_graph(20, seed=seed)
-            expected, _ = nx.check_planarity(graph.to_networkx())
+            expected, _ = nx.check_planarity(to_networkx(graph))
             assert is_planar(graph) == expected
 
     def test_edge_bound(self):
@@ -85,44 +85,86 @@ class TestPlanarityTest:
             compute_planar_embedding(complete_graph(7))
 
     def test_yes_no_answer_builds_no_embedding(self, monkeypatch):
-        """``is_planar`` answers without converting an embedding it would drop."""
-        def refuse(cls, embedding):
-            raise AssertionError("is_planar converted an embedding")
-
-        monkeypatch.setattr(RotationSystem, "from_networkx_embedding",
-                            classmethod(refuse))
+        """``is_planar`` stops after the testing phase: it runs the left-right
+        test without its sign and embedding phases."""
+        runs = _count_planarity_tests(monkeypatch)
         graph = delaunay_planar_graph(60, seed=2)
         graph.add_node("isolated")
         assert is_planar(graph)
         assert not is_planar(k5_subdivision(3, seed=1))
         assert not is_planar(petersen_graph())
+        assert [embed for _, embed in runs] == [False, False, False]
 
 
-def _count_planarity_tests(monkeypatch) -> list[int]:
-    """Patch networkx's planarity test to count its calls; return the counter."""
-    import networkx as nx
+def _count_planarity_tests(monkeypatch) -> list[tuple[int, bool]]:
+    """Patch the left-right test to record each run; return the record.
 
-    calls = [0]
-    check_planarity = nx.check_planarity
+    One ``(m, embed)`` entry per run: the number of edges tested and
+    whether the sign and embedding phases were asked for.
+    """
+    from repro.graphs import planarity
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return check_planarity(*args, **kwargs)
+    runs: list[tuple[int, bool]] = []
+    left_right = planarity._left_right
 
-    monkeypatch.setattr(nx, "check_planarity", counted)
-    return calls
+    def counted(adjacency, m, embed):
+        runs.append((m, embed))
+        return left_right(adjacency, m, embed)
+
+    monkeypatch.setattr(planarity, "_left_right", counted)
+    return runs
 
 
 class TestOnePlanarityTestPerProof:
-    """Each prover answers membership and builds its proof from one test."""
+    """Each prover answers membership and builds its proof from at most one
+    whole-graph planarity test."""
 
     def test_nonplanarity_prove(self, monkeypatch):
+        """A Kuratowski subdivision is certified by structural validation
+        alone: no planarity test runs."""
         from repro.core.nonplanarity_scheme import NonPlanarityScheme
 
         network = Network(k5_subdivision(3, seed=1), seed=1)
-        calls = _count_planarity_tests(monkeypatch)
+        runs = _count_planarity_tests(monkeypatch)
         NonPlanarityScheme().prove(network)
-        assert calls == [1]
+        assert runs == []
+
+    @pytest.mark.parametrize("graph", [
+        petersen_graph(),
+        random_nonplanar_graph(60, seed=1),
+    ], ids=["petersen", "random-nonplanar-60"])
+    def test_nonplanarity_prove_tests_the_whole_graph_once(self, monkeypatch, graph):
+        """On an input the edge bound does not decide and that is no
+        subdivision itself, membership and extraction share one test; the
+        minimiser's other tests each see a strict subset of the edges."""
+        from repro.core.nonplanarity_scheme import NonPlanarityScheme
+
+        assert passes_edge_count_bound(graph)
+        m = graph.number_of_edges()
+        network = Network(graph, seed=1)
+        runs = _count_planarity_tests(monkeypatch)
+        NonPlanarityScheme().prove(network)
+        assert [edges for edges, _ in runs if edges == m] == [m]
+        assert all(edges <= m and not embed for edges, embed in runs)
+
+    def test_nonplanarity_prove_keeps_a_failed_core_a_bug(self, monkeypatch):
+        """A core the structural validator rejects raises ``GraphError``,
+        not the prover's ``NotInClassError`` for a planar input."""
+        from repro.core.nonplanarity_scheme import NonPlanarityScheme
+        from repro.graphs import kuratowski
+
+        monkeypatch.setattr(kuratowski, "_as_subdivision", lambda core: None)
+        with pytest.raises(GraphError, match="failed Kuratowski validation"):
+            NonPlanarityScheme().prove(Network(petersen_graph(), seed=1))
+
+    def test_planarity_prove(self, monkeypatch):
+        from repro.core.planarity_scheme import PlanarityScheme
+
+        graph = delaunay_planar_graph(50, seed=3)
+        network = Network(graph, seed=3)
+        runs = _count_planarity_tests(monkeypatch)
+        PlanarityScheme().prove(network)
+        assert runs == [(graph.number_of_edges(), True)]
 
     def test_nonplanarity_prove_refuses_a_planar_graph(self):
         from repro.core.nonplanarity_scheme import NonPlanarityScheme
@@ -133,10 +175,11 @@ class TestOnePlanarityTestPerProof:
     def test_dmam_first_turn(self, monkeypatch):
         from repro.baselines.dmam import PlanarityDMAMProtocol
 
-        network = Network(delaunay_planar_graph(50, seed=3), seed=3)
-        calls = _count_planarity_tests(monkeypatch)
+        graph = delaunay_planar_graph(50, seed=3)
+        network = Network(graph, seed=3)
+        runs = _count_planarity_tests(monkeypatch)
         PlanarityDMAMProtocol().first_turn(network)
-        assert calls == [1]
+        assert runs == [(graph.number_of_edges(), True)]
 
     def test_dmam_first_turn_refuses_a_nonplanar_graph(self):
         from repro.baselines.dmam import PlanarityDMAMProtocol
