@@ -13,12 +13,15 @@ then shows the soundness side: on a non-planar network, replaying
 certificates of a planar sub-network leaves at least one node rejecting.
 
 ``--backend vectorized`` routes every verification in this script through
-the :mod:`repro.vectorized` array kernels: the building-block section runs
-on its full kernel, the planarity sections on the prefilter kernel (the
-vectorized spanning-tree and path-consistency phases reject in array form,
-surviving nodes are re-decided by the reference verifier), and schemes
-without a kernel fall back wholesale — same decisions either way.  See
-``docs/ARCHITECTURE.md`` for the backend-support matrix.
+the :mod:`repro.vectorized` array kernels: the building-block and planarity
+sections run on full kernels, which decide every node in array form and
+hand a node to the reference verifier only when its view holds a value the
+arrays cannot represent exactly — same decisions either way.  An attack
+that changes a few certificates of an assignment the engine certified
+(``engine.certify``) is decided locally instead, re-deciding only the
+changed balls; this script's attack transplants certificates from another
+network, so the kernel decides it.  See ``docs/ARCHITECTURE.md`` for the
+backend-support matrix.
 """
 
 from __future__ import annotations

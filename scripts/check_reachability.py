@@ -16,10 +16,14 @@ a bare name in the class's own body (``add_edge = _refuse``).  A bare name
 anywhere else is some other variable, not the member.
 
 The searched files are ``benchmarks/``, ``examples/``, ``scripts/`` (this
-script excepted), ``perfbench/`` and ``src/``.  Inside ``src/`` three kinds
-of use do not count, because they keep code alive without running it: the
-definition's own body (recursion, a class naming itself), ``__all__``
-statements, and the imports of a package ``__init__.py`` (re-exports).
+script excepted), ``perfbench/`` and ``src/``.  A file outside ``src/`` that
+defines a name at top level (``def``, ``class`` or assignment) means its own
+definition by each bare use of that name, so those uses reach nothing in
+``src/``: a benchmark's own ``def helper`` keeps no library ``helper``
+alive.  Inside ``src/`` three kinds of use do not count, because they keep
+code alive without running it: the definition's own body (recursion, a
+class naming itself), ``__all__`` statements, and the imports of a package
+``__init__.py`` (re-exports).
 ``tests/`` is not searched: a helper only a test calls belongs in
 ``tests/``, and a definition only its own tests reach is dead code.
 
@@ -114,6 +118,19 @@ def class_body_names(cls: ast.ClassDef) -> set[str]:
             for name, bare in uses(node, package_init=False) if bare}
 
 
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level by ``def``, ``class`` or assignment."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
+    return names
+
+
 def is_all_statement(node: ast.AST) -> bool:
     """``__all__ = ...``, ``__all__ += ...`` or ``__all__.append(...)``."""
     targets: list[ast.expr] = []
@@ -186,7 +203,10 @@ def main() -> int:
             if path == SELF:
                 continue  # the allowlist names what it keeps; that is no use
             tree = ast.parse(path.read_text(), filename=str(path))
+            own = top_level_names(tree)
             for name, bare in uses(tree, package_init=False):
+                if bare and name in own:
+                    continue  # the file's own definition, not src/'s
                 outside.add(name)
                 if not bare:
                     outside_members.add(name)

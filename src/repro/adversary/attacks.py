@@ -35,7 +35,6 @@ from typing import Any
 from repro.distributed.engine import SimulationEngine
 from repro.distributed.network import Network
 from repro.distributed.scheme import ProofLabelingScheme
-from repro.distributed.verifier import run_verification
 from repro.graphs.graph import Node
 
 __all__ = [
@@ -83,21 +82,18 @@ def decide_in_chunks(engine: SimulationEngine | None,
 
     Assignments are drawn 16 at a time and each chunk is decided with one
     :meth:`~repro.distributed.engine.SimulationEngine.count_accepting_batch`
-    call, or, with ``engine=None``, by the per-node reference loop
-    :func:`~repro.distributed.verifier.run_verification` that the engine is
-    tested against.  The counts end at the first one equal to ``stop_at``;
-    the rest of that chunk is drawn but not decided.
+    call; ``engine=None`` uses a fresh reference-backend engine, whose
+    decisions are tested equal to
+    :func:`~repro.distributed.verifier.run_verification`'s.  The counts end
+    at the first one equal to ``stop_at``; the rest of that chunk is drawn
+    but not decided.
     """
+    engine = engine or SimulationEngine()
     counts: list[int] = []
     pending = iter(assignments)
     while chunk := list(itertools.islice(pending, _CHUNK)):
-        if engine is None:
-            decided = [sum(run_verification(scheme, network,
-                                            certificates).decisions.values())
-                       for certificates in chunk]
-        else:
-            decided = engine.count_accepting_batch(
-                scheme, [(network, certificates) for certificates in chunk])
+        decided = engine.count_accepting_batch(
+            scheme, [(network, certificates) for certificates in chunk])
         for count in decided:
             counts.append(count)
             if count == stop_at:
@@ -126,9 +122,8 @@ def random_certificate_attack(scheme: ProofLabelingScheme, network: Network,
 
     ``rng`` (which takes precedence over ``seed``) drives the certificate
     forging, so a single generator can make a whole experiment reproducible;
-    ``engine`` evaluates trials through the batched
-    :class:`~repro.distributed.engine.SimulationEngine` caches instead of the
-    per-node reference loop (same decisions, much less rebuild work).
+    ``engine`` is the :class:`~repro.distributed.engine.SimulationEngine`
+    that decides the trials (``None``: a fresh reference-backend engine).
     """
     if rng is None:
         rng = random.Random(seed)

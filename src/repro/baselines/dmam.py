@@ -426,7 +426,6 @@ class PlanarityDMAMProtocol(InteractiveProtocol):
             child_ids=child_ids,
             push_events=tuple(push_events),
             pop_events=tuple(pop_events),
-            field_prime=prime,
         )
 
     def verify_with_state(self, state: Any, view: LocalView, challenge: int,
@@ -455,7 +454,7 @@ class PlanarityDMAMProtocol(InteractiveProtocol):
         z = second.global_point
         if any(neighbor.global_point != z for neighbor in neighbor_second.values()):
             return False
-        prime = state.field_prime
+        prime = self.field_prime
         if state.is_root and z != challenge % prime:
             return False
 
@@ -505,10 +504,6 @@ class _PreparedVerifier:
     #: ``prod (z - event) mod field_prime`` over these
     push_events: tuple[int, ...]
     pop_events: tuple[int, ...]
-    #: the field the protocol instance fingerprints over; rides here so the
-    #: vectorized round kernel (which never sees the protocol object) can
-    #: reduce with the same modulus
-    field_prime: int = FIELD_PRIME
 
 
 def _first_components_view(view: LocalView) -> LocalView:

@@ -65,18 +65,16 @@ certificate assignment out of the per-trial loop:
   tuple of member contexts), so a sweep or attack loop pays one compile and
   one array pass per phase instead of one per item; items the batch cannot
   represent (refused networks, no kernel) run the reference loop, and
-  flagged nodes fall back per item exactly as in :meth:`verify`.  The
-  interactive analogue compiles the challenge-independent prepared states
-  once (:class:`~repro.vectorized.scheme_kernels.DMAMRoundKernel`) and runs
-  every challenge draw of :meth:`estimate_soundness_error` as an array
-  round.
+  flagged nodes fall back per item exactly as in :meth:`verify`.
+  Interactive protocols have no kernel: every verification round runs the
+  reference loop on every backend.
 
 Every decision takes one path.  :meth:`verify` and :meth:`count_accepting`
 are one-item :meth:`verify_batch` / :meth:`count_accepting_batch` calls;
-one helper runs every kernel invocation (single network, batched chunk or
-dMAM round) with its span, counters and flagged-node re-decide; and one
-reference loop serves every reference pass, PLS and interactive alike,
-whole networks as well as the balls of local decides.
+one helper runs every kernel invocation (single network or batched chunk)
+with its span, counters and flagged-node re-decide; and one reference loop
+serves every reference pass, PLS and interactive alike, whole networks as
+well as the balls of local decides.
 Everything cached about a network lives in one record, dropped whole when
 the network goes away and patched (or started afresh) when its graph
 mutates.
@@ -313,9 +311,6 @@ class _NetworkState:
     sizes: dict[int, dict[Node, int]] = field(default_factory=dict)
     #: honest Merlin first turns per ``id(protocol)`` (identity, as above)
     turns: dict[int, FirstTurn] = field(default_factory=dict)
-    #: ``(prepared, compiled)`` dMAM round states, valid only for that very
-    #: ``prepared`` list, so a new first turn recompiles automatically
-    round_states: tuple[Any, Any] | None = None
     #: cheap trace fingerprint (size, edges, identifier range)
     fingerprint: str | None = None
 
@@ -331,7 +326,7 @@ class _NetworkState:
         patch of it would be O(n) array work too, and saved only a fraction
         of a millisecond per event at n = 2000.  *Assignment-shaped*
         artifacts — honest certificates and their decisions, size
-        statistics, first turns, dMAM round states, fingerprints — have no
+        statistics, first turns, fingerprints — have no
         bounded delta form and stay behind.
 
         Returns ``None`` when the journal cannot vouch for the mutation
@@ -1137,68 +1132,22 @@ class SimulationEngine:
                                network: Network, first: dict[Node, Any],
                                second: dict[Node, Any],
                                challenges: dict[Node, int],
-                               prepared: Sequence[Any] | None = None,
-                               backend: str | None = None) -> Any:
+                               prepared: Sequence[Any] | None = None) -> Any:
         """Accept vector (node order) of one verification round.
 
-        With ``prepared`` (see :meth:`interactive_prepared`) each node's
+        The reference loop decides every node on every backend.  With
+        ``prepared`` (see :meth:`interactive_prepared`) each node's
         challenge-independent verifier state is reused and only the
-        challenge-dependent half runs; under the vectorized backend that
-        half runs as one array pass per challenge draw when the protocol
-        registered a round kernel.  Otherwise the reference loop decides.
+        challenge-dependent half runs.
         """
         with current_tracer().span("interactive_round") as sp:
             if sp:
                 sp.set(protocol=protocol.name, nodes=network.size,
                        network=self._fingerprint(network))
-            accept = None
-            if prepared is not None and \
-                    self._resolve_backend(backend) == "vectorized":
-                accept = self._round_kernel(protocol, network, first, second,
-                                            challenges, prepared)
-            if accept is None:
-                accept = self._reference(
-                    protocol.name, network,
-                    self._round_decide(protocol, network, first, second,
-                                       challenges, prepared))
-            return accept
-
-    def _round_kernel(self, protocol: InteractiveProtocol, network: Network,
-                      first: dict[Node, Any], second: dict[Node, Any],
-                      challenges: dict[Node, int],
-                      prepared: Sequence[Any]) -> Any | None:
-        """One challenge draw through the protocol's round kernel, or ``None``.
-
-        The challenge-independent prepared states are compiled to arrays once
-        per ``prepared`` list (identity-cached in the network's record), so
-        each draw costs one :meth:`accept_round` pass.  ``None`` — no round
-        kernel, or a network the compiler refuses — is counted and
-        attributed as a whole-network fallback.
-        """
-        kernel = self._kernel_for(protocol)
-        if kernel is None or not hasattr(kernel, "accept_round"):
-            self._note_network_fallback(protocol, "no_round_kernel")
-            return None
-        ctx = self._vector_context(network)
-        if ctx is None:
-            self._note_network_fallback(protocol, "refused_network")
-            return None
-        state = self._state(network)
-        if state.round_states is None or state.round_states[0] is not prepared:
-            with current_tracer().span("compile") as sp:
-                if sp:
-                    sp.set(stage="prepared_states", protocol=protocol.name,
-                           nodes=int(ctx.n))
-                state.round_states = (prepared,
-                                      kernel.compile_prepared(ctx, prepared))
-        compiled = state.round_states[1]
-        return self._kernel(
-            protocol.name, ctx,
-            lambda: kernel.accept_round(ctx, compiled, second, challenges),
-            lambda: [(network, self._round_decide(protocol, network, first,
-                                                  second, challenges,
-                                                  prepared))],
-            round=True)
+            return self._reference(
+                protocol.name, network,
+                self._round_decide(protocol, network, first, second,
+                                   challenges, prepared))
 
     def _round_decide(self, protocol: InteractiveProtocol, network: Network,
                       first: dict[Node, Any], second: dict[Node, Any],
@@ -1246,20 +1195,17 @@ class SimulationEngine:
                                     network: Network, first: dict[Node, Any],
                                     second: dict[Node, Any],
                                     challenges: dict[Node, int],
-                                    prepared: Sequence[Any] | None = None,
-                                    backend: str | None = None) -> int:
+                                    prepared: Sequence[Any] | None = None) -> int:
         """Decision-only interactive round: how many nodes accept.
 
         The interactive analogue of :meth:`count_accepting` — soundness
         estimation only ranks challenge draws by the number of convinced
         nodes, so the transcript bundling of :meth:`run_interactive` would be
-        pure overhead here.  ``backend`` behaves as in :meth:`verify`; with
-        ``prepared`` the vectorized backend serves each draw from the
-        protocol's round kernel.
+        pure overhead here.  ``prepared`` (from :meth:`interactive_prepared`)
+        reuses each node's challenge-independent verifier state.
         """
         return _accepting(self._interactive_decisions(
-            protocol, network, first, second, challenges, prepared=prepared,
-            backend=backend))
+            protocol, network, first, second, challenges, prepared=prepared))
 
     def estimate_soundness_error(self, protocol: InteractiveProtocol,
                                  network: Network, trials: int,

@@ -127,7 +127,7 @@ class SchemeRegistry:
         if not isinstance(coverage, str) or not coverage:
             raise RegistryError(
                 f"kernel for {name!r} must declare a non-empty `coverage` "
-                "attribute (e.g. \"full\", \"prefilter\", or \"round\")")
+                "attribute (e.g. \"full\" or \"prefilter\")")
         if not replace and name in self._kernels:
             raise RegistryError(f"scheme {name!r} already has a kernel")
         self._kernels[name] = kernel
@@ -155,10 +155,8 @@ class SchemeRegistry:
         ``"full"`` — the kernel decides every phase in array form (both
         acceptance and rejection are final, fallback only for
         unrepresentable certificates); ``"prefilter"`` — it vectorizes a
-        necessary prefix and flags survivors for per-node fallback;
-        ``"round"`` — an interactive protocol's challenge-dependent
-        verification round runs in array form over precompiled prepared
-        states.  Kernels declare this on a ``coverage`` attribute
+        necessary prefix and flags survivors for per-node fallback.  Kernels
+        declare this on a ``coverage`` attribute
         (:meth:`register_kernel` enforces the declaration); the
         backend-support matrix in ``docs/ARCHITECTURE.md`` is asserted
         against these values by ``tests/test_registry.py``.

@@ -6,7 +6,6 @@ from repro.graphs.embedding import RotationSystem
 from repro.graphs.spanning_tree import (
     RootedTree,
     bfs_spanning_tree,
-    cotree_edges,
     dfs_spanning_tree,
 )
 from repro.graphs.planarity import compute_planar_embedding, is_planar
@@ -22,7 +21,6 @@ __all__ = [
     "RootedTree",
     "bfs_spanning_tree",
     "dfs_spanning_tree",
-    "cotree_edges",
     "compute_planar_embedding",
     "is_planar",
     "degeneracy_ordering",

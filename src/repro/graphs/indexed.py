@@ -22,7 +22,6 @@ same graph compile once.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from repro.exceptions import GraphError
@@ -202,13 +201,6 @@ class IndexedGraph:
                       numpy.asarray(self.indices, dtype=numpy.int64))
             self._csr_arrays = cached
         return cached
-
-    def edges_indexed(self) -> Iterator[tuple[int, int]]:
-        """Yield each undirected edge once as an ``(i, j)`` pair with ``i < j``."""
-        for i in range(self.n):
-            for j in self.neighbors_of(i):
-                if i < j:
-                    yield (i, j)
 
     # ------------------------------------------------------------------
     # batched algorithms

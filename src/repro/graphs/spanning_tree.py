@@ -41,14 +41,28 @@ class RootedTree:
             self._children.setdefault(node, [])
         for node, parent in self._parent.items():
             self._children.setdefault(parent, []).append(node)
-        self._validate()
+        self._depth = self._depths()
 
-    def _validate(self) -> None:
-        # Every parent chain must terminate at the root without cycles.
-        for start in self._parent:
-            seen = {start}
-            node = start
-            while node != self.root:
+    def _depths(self) -> dict[Node, int]:
+        """Every node's depth, from one pass down the children lists.
+
+        Each non-root node sits in exactly one children list, so the pass
+        from the root visits every node at most once and reaches exactly the
+        nodes whose parent chain ends at the root; a chain that misses the
+        root, or a cycle, leaves its nodes unreached.
+        """
+        depth = {self.root: 0}
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            below = depth[node] + 1
+            for child in self._children[node]:
+                depth[child] = below
+                stack.append(child)
+        if len(depth) <= len(self._parent):
+            start = next(node for node in self._parent if node not in depth)
+            node, seen = start, {start}
+            while True:
                 node = self._parent.get(node)
                 if node is None:
                     raise GraphError(
@@ -56,6 +70,7 @@ class RootedTree:
                 if node in seen:
                     raise GraphError("parent pointers contain a cycle")
                 seen.add(node)
+        return depth
 
     # ------------------------------------------------------------------
     def nodes(self) -> list[Node]:
@@ -82,11 +97,9 @@ class RootedTree:
 
     def depth(self, node: Node) -> int:
         """Return the hop distance from ``node`` to the root."""
-        depth = 0
-        while node != self.root:
-            node = self.parent(node)
-            depth += 1
-        return depth
+        if node not in self._depth:
+            raise GraphError(f"node {node!r} is not in the tree")
+        return self._depth[node]
 
     def edges(self) -> list[tuple[Node, Node]]:
         """Return the (child, parent) tree edges."""
@@ -149,28 +162,3 @@ def dfs_spanning_tree(graph: Graph, root: Node) -> RootedTree:
     if len(parents) != graph.number_of_nodes():
         raise NotConnectedError("graph is not connected; no spanning tree exists")
     return RootedTree(root, parents)
-
-
-def cotree_edges(graph: Graph, tree: RootedTree) -> list[tuple[Node, Node]]:
-    """Return the edges of ``graph`` that are not in ``tree`` (the *cotree* of Section 1.1).
-
-    Enumerates edges through the compiled
-    :class:`~repro.graphs.indexed.IndexedGraph` view, which emits each
-    undirected edge exactly once without the per-edge set bookkeeping of
-    :meth:`Graph.edges`.  The returned tuples are the same canonical
-    ``edge_key`` pairs (the enumeration order differs from ``Graph.edges``,
-    which no caller relies on).
-    """
-    from repro.graphs.graph import edge_key
-
-    indexed = graph.indexed()
-    labels = indexed.labels
-    result: list[tuple[Node, Node]] = []
-    for i, j in indexed.edges_indexed():
-        u, v = labels[i], labels[j]
-        if not tree.has_edge(u, v):
-            result.append(edge_key(u, v))
-    return result
-
-
-__all__.append("cotree_edges")

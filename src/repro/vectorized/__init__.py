@@ -27,10 +27,10 @@ The subsystem has three layers (documented end to end in
   kernels for both ``non-planarity-pls`` and ``planarity-pls`` (every
   Algorithm 2 phase compiled to segmented array passes, fallback reserved
   for unrepresentable certificates);
-* :mod:`repro.vectorized.scheme_kernels` — the remaining rows of the
-  backend-support matrix: full kernels for ``path-outerplanarity-pls``
-  (Algorithm 1) and ``universal-map-pls`` (map interning), and the *round*
-  kernel for the interactive ``planarity-dmam`` verification round;
+* :mod:`repro.vectorized.scheme_kernels` — the remaining proof-labeling
+  rows of the backend-support matrix: full kernels for
+  ``path-outerplanarity-pls`` (Algorithm 1) and ``universal-map-pls`` (map
+  interning); the interactive ``planarity-dmam`` has no kernel;
 * registration — kernels are registered alongside their schemes in
   :func:`repro.distributed.registry.default_registry`; the
   :class:`~repro.distributed.engine.SimulationEngine` selects them with
@@ -81,13 +81,9 @@ from repro.vectorized.paper_kernels import (
     PlanarityKernel,
 )
 from repro.vectorized.scheme_kernels import (
-    DMAM_SECOND_FIELDS,
     PATH_OUTERPLANAR_FIELDS,
-    CompiledPrepared,
-    DMAMRoundKernel,
     PathOuterplanarKernel,
     UniversalMapKernel,
-    mulmod_p61,
 )
 
 __all__ = [
@@ -127,11 +123,7 @@ __all__ = [
     "PLANARITY_FIELDS",
     "NonPlanarityKernel",
     "PlanarityKernel",
-    "DMAM_SECOND_FIELDS",
     "PATH_OUTERPLANAR_FIELDS",
-    "CompiledPrepared",
-    "DMAMRoundKernel",
     "PathOuterplanarKernel",
     "UniversalMapKernel",
-    "mulmod_p61",
 ]

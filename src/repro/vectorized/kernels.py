@@ -336,11 +336,9 @@ def builtin_kernels() -> list:
     # sub-checks
     from repro.vectorized.paper_kernels import NonPlanarityKernel, PlanarityKernel
     from repro.vectorized.scheme_kernels import (
-        DMAMRoundKernel,
         PathOuterplanarKernel,
         UniversalMapKernel,
     )
 
     return [PathGraphKernel(), TreeKernel(), NonPlanarityKernel(),
-            PlanarityKernel(), PathOuterplanarKernel(), UniversalMapKernel(),
-            DMAMRoundKernel()]
+            PlanarityKernel(), PathOuterplanarKernel(), UniversalMapKernel()]

@@ -1,7 +1,8 @@
-"""Kernels closing the backend-support matrix: PO, universal map, and dMAM.
+"""Kernels for the path-outerplanarity and universal-map schemes.
 
-Three kernels that take the vectorized backend from four schemes to all
-seven (see ``SchemeRegistry.kernel_coverage``):
+Two kernels that, with :mod:`repro.vectorized.kernels` and
+:mod:`repro.vectorized.paper_kernels`, give every proof-labeling scheme in
+the registry a full kernel (see ``SchemeRegistry.kernel_coverage``):
 
 * :class:`PathOuterplanarKernel` — Algorithm 1 (Lemma 2) as segment passes:
   the spanning-path part reuses :func:`~repro.vectorized.kernels
@@ -16,14 +17,8 @@ seven (see ``SchemeRegistry.kernel_coverage``):
   uid comparison, and checks each distinct map's neighborhood table and
   planarity once per map instead of once per node (memoised on the
   certificate, so repeated trials in a sweep pay nothing).
-* :class:`DMAMRoundKernel` — a *round* kernel for the interactive dMAM
-  protocol: the challenge-independent verifier states
-  (``prepare_verifier``) compile once per (network, first turn) into event
-  and child-edge arrays, and every challenge draw is then one pass of
-  Mersenne-prime modular products (:func:`mulmod_p61`) plus segment
-  reductions — the shape of the soundness-estimation hot loop.
 
-All three obey the exactness contract of :mod:`repro.vectorized.compiler`:
+Both obey the exactness contract of :mod:`repro.vectorized.compiler`:
 anything without an exact array representation routes every viewer through
 the reference fallback, so decisions are bit-identical to the reference
 verifiers (asserted by the differential fuzz harness).
@@ -31,18 +26,10 @@ verifiers (asserted by the differential fuzz harness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.baselines.dmam import (
-    _REJECT,
-    _SINGLE_NODE,
-    FIELD_PRIME,
-    DMAMSecondMessage,
-    PlanarityDMAMProtocol,
-)
 from repro.baselines.universal import GraphMapCertificate, UniversalPlanarityScheme
 from repro.core.building_blocks import HamiltonianPathLabel
 from repro.core.po_scheme import PathOuterplanarLabel, PathOuterplanarScheme
@@ -72,12 +59,8 @@ from repro.vectorized.paper_kernels import (
 
 __all__ = [
     "PATH_OUTERPLANAR_FIELDS",
-    "DMAM_SECOND_FIELDS",
     "PathOuterplanarKernel",
     "UniversalMapKernel",
-    "DMAMRoundKernel",
-    "CompiledPrepared",
-    "mulmod_p61",
 ]
 
 
@@ -451,224 +434,3 @@ class UniversalMapKernel:
                 fallback[survivors] = True
             elif not planar:
                 accept[survivors] = False
-
-
-# ----------------------------------------------------------------------
-# dMAM verification round
-# ----------------------------------------------------------------------
-#: second-message fields; products and coins only ever sit in equality
-#: comparisons or enter the factors reduced mod ``FIELD_PRIME``
-DMAM_SECOND_FIELDS = (
-    FieldSpec("global_point", limit=ID_LIMIT),
-    FieldSpec("push_product_subtree", limit=ID_LIMIT),
-    FieldSpec("pop_product_subtree", limit=ID_LIMIT),
-)
-
-_MASK31 = (1 << 31) - 1
-_MASK30 = (1 << 30) - 1
-_MASK61 = (1 << 61) - 1
-
-
-def mulmod_p61(a: Any, b: Any) -> Any:
-    """Exact ``(a * b) % FIELD_PRIME`` on int64 arrays, ``a, b in [0, 2**61)``.
-
-    Splits both operands at bit 31 and folds with ``2**61 ≡ 1 (mod p)``:
-    every partial term stays below ``2**62``, their sum below ``2**63``, so
-    the product never leaves int64 despite being up to 122 bits wide.
-    """
-    a1, a0 = a >> 31, a & _MASK31
-    b1, b0 = b >> 31, b & _MASK31
-    mid = a1 * b0 + a0 * b1
-    low = a0 * b0
-    total = (2 * a1 * b1                      # a1*b1*2**62 ≡ 2*a1*b1
-             + (mid >> 30) + ((mid & _MASK30) << 31)   # mid*2**31 folded once
-             + (low >> 61) + (low & _MASK61))
-    return total % FIELD_PRIME
-
-
-def _mulmod(a: Any, b: Any, prime: int) -> Any:
-    """Exact ``(a * b) % prime`` on int64 arrays, operands in ``[0, prime)``.
-
-    Two exact regimes: the Mersenne prime uses the bit-split fold above, and
-    any prime below ``2**31`` multiplies directly (the product stays below
-    ``2**62``, inside int64).  ``supports()`` admits nothing else.
-    """
-    if prime == FIELD_PRIME:
-        return mulmod_p61(a, b)
-    return (a * b) % prime
-
-
-def _segment_prod_mod(values: Any, segments: Any, n: int,
-                      prime: int = FIELD_PRIME) -> Any:
-    """Per-segment product mod ``prime`` (values in ``[0, prime)``).
-
-    ``segments`` must be non-decreasing (both callers walk CSR-ordered
-    arrays); round ``k`` folds every segment's ``k``-th element in, so the
-    loop runs ``max segment length`` times over shrinking index sets.
-    """
-    out = np.ones(n, dtype=np.int64)
-    if len(values) == 0:
-        return out
-    counts = np.bincount(segments, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    for k in range(int(counts.max())):
-        nodes = np.nonzero(counts > k)[0]
-        out[nodes] = _mulmod(out[nodes], values[offsets[nodes] + k], prime)
-    return out
-
-
-@dataclass
-class CompiledPrepared:
-    """Challenge-independent dMAM verifier states in array form.
-
-    One per (network, first-turn assignment), compiled from the
-    ``prepare_verifier`` states and reused across every challenge draw of a
-    soundness estimate (the engine caches it keyed on the prepared list).
-    """
-
-    #: 0 = normal, 1 = forced reject, 2 = single-node forced accept
-    status: Any
-    is_root: Any
-    compares_global: Any
-    #: node index / encoded event value per fingerprint event, node-sorted
-    push_nodes: Any
-    push_events: Any
-    pop_nodes: Any
-    pop_events: Any
-    #: per directed edge: the target is a spanning-tree child of the source
-    child_edge: Any
-    #: field modulus the prepared states fingerprint over (uniform across
-    #: the assignment: one protocol instance prepared them all)
-    field_prime: int = FIELD_PRIME
-
-
-class DMAMRoundKernel:
-    """Round kernel of :class:`~repro.baselines.dmam.PlanarityDMAMProtocol`.
-
-    ``coverage == "round"``: it accelerates the challenge-dependent
-    verification round (``verify_with_state``) given the prepared states —
-    the structural half stays in Python, where it runs once per first turn
-    rather than once per draw.  Claimed subtree products enter the modular
-    arithmetic reduced mod ``FIELD_PRIME`` (congruence-preserving), while
-    the product *comparisons* stay on the raw claimed values, exactly like
-    the reference.
-    """
-
-    scheme_name = PlanarityDMAMProtocol.name
-    coverage = "round"
-
-    def supports(self, protocol: Any) -> bool:
-        if type(protocol) is not PlanarityDMAMProtocol:
-            return False
-        # the two moduli with an exact int64 multiply (see _mulmod); other
-        # primes fall back to the reference round, decision-preserving
-        prime = getattr(protocol, "field_prime", FIELD_PRIME)
-        return prime == FIELD_PRIME or prime < (1 << 31)
-
-    def compile_prepared(self, ctx: Any, prepared: list) -> CompiledPrepared:
-        """Compile per-node prepared states (aligned with ``ctx.labels``)."""
-        with current_tracer().span(
-                "kernel:" + self.scheme_name + "/compile_prepared") as sp:
-            if sp:
-                sp.set(nodes=int(ctx.n))
-            return self._compile_prepared(ctx, prepared)
-
-    @staticmethod
-    def _compile_prepared(ctx: Any, prepared: list) -> CompiledPrepared:
-        n = ctx.n
-        status = np.zeros(n, dtype=np.int8)
-        is_root = np.zeros(n, dtype=bool)
-        compares = np.zeros(n, dtype=bool)
-        push_nodes: list[int] = []
-        push_events: list[int] = []
-        pop_nodes: list[int] = []
-        pop_events: list[int] = []
-        child_edge = np.zeros(len(ctx.dst), dtype=bool)
-        field_prime = FIELD_PRIME
-        ids, indptr, dst = ctx.node_ids, ctx.indptr, ctx.dst
-        for i, state in enumerate(prepared):
-            if state is _REJECT:
-                status[i] = 1
-                continue
-            if state is _SINGLE_NODE:
-                status[i] = 2
-                continue
-            is_root[i] = state.is_root
-            compares[i] = state.compares_global
-            field_prime = state.field_prime
-            push_nodes.extend([i] * len(state.push_events))
-            push_events.extend(state.push_events)
-            pop_nodes.extend([i] * len(state.pop_events))
-            pop_events.extend(state.pop_events)
-            if state.child_ids:
-                block = slice(int(indptr[i]), int(indptr[i + 1]))
-                child_edge[block] = np.isin(
-                    ids[dst[block]], np.array(state.child_ids, dtype=np.int64))
-        return CompiledPrepared(
-            status=status, is_root=is_root, compares_global=compares,
-            push_nodes=np.array(push_nodes, dtype=np.int64),
-            push_events=np.array(push_events, dtype=np.int64),
-            pop_nodes=np.array(pop_nodes, dtype=np.int64),
-            pop_events=np.array(pop_events, dtype=np.int64),
-            child_edge=child_edge, field_prime=field_prime)
-
-    def accept_round(self, ctx: Any, compiled: CompiledPrepared,
-                     second: dict[Any, Any],
-                     challenges: dict[Any, int]) -> tuple[Any, Any]:
-        """One verification round: ``(accept, fallback)`` over the nodes."""
-        tracer = current_tracer()
-        prefix = "kernel:" + self.scheme_name + "/"
-        table = compile_certificates(ctx, second, DMAMSecondMessage,
-                                     DMAM_SECOND_FIELDS)
-        n = ctx.n
-        src, dst, starts = ctx.src, ctx.dst, ctx.starts
-        present = table.present
-        z = table.columns["global_point"]
-        push_claim = table.columns["push_product_subtree"]
-        pop_claim = table.columns["pop_product_subtree"]
-        prime = compiled.field_prime
-        with tracer.span(prefix + "coin_relay"):
-            # keyed by node like the reference loop, including its KeyError
-            # for missing nodes; the reduction runs only at roots, where the
-            # reference performs it (a non-root garbage value must not raise)
-            challenge = np.zeros(n, dtype=np.int64)
-            is_root = compiled.is_root
-            for i, label in enumerate(ctx.labels):
-                value = challenges[label]
-                if is_root[i]:
-                    challenge[i] = value % prime
-
-            # coin relay: every neighbor well-typed with the same raw z; the
-            # root's coin must match its challenge
-            ok = present & segment_all(present[dst], starts)
-            ok &= segment_all(z[dst] == z[src], starts)
-            ok &= ~(compiled.is_root & (z != challenge))
-
-        with tracer.span(prefix + "fingerprint"):
-            # fingerprint factors: prod (z - event) over my pre-encoded
-            # events
-            zr = np.mod(z, prime)
-            push_factor = _segment_prod_mod(
-                np.mod(zr[compiled.push_nodes] - compiled.push_events, prime),
-                compiled.push_nodes, n, prime)
-            pop_factor = _segment_prod_mod(
-                np.mod(zr[compiled.pop_nodes] - compiled.pop_events, prime),
-                compiled.pop_nodes, n, prime)
-
-            # subtree products: mine equals my factor times my children's
-            # claims
-            child = compiled.child_edge
-            expected_push = _mulmod(push_factor, _segment_prod_mod(
-                np.mod(push_claim[dst[child]], prime), src[child], n, prime),
-                prime)
-            expected_pop = _mulmod(pop_factor, _segment_prod_mod(
-                np.mod(pop_claim[dst[child]], prime), src[child], n, prime),
-                prime)
-            ok &= (push_claim == expected_push) & (pop_claim == expected_pop)
-            ok &= ~compiled.compares_global | (push_claim == pop_claim)
-
-        # single-node states accept on own typing alone; reject states veto
-        accept = np.where(compiled.status == 2, present, ok)
-        accept &= compiled.status != 1
-        return accept, view_fallback(ctx, table)

@@ -361,17 +361,25 @@ class TestCheatingProver:
             results.append(estimate.accepting_counts)
         assert results[0] == results[1] == results[2]
 
-    def test_round_kernel_gates_on_the_prime(self):
-        """Exact-arithmetic primes run the kernel; the rest fall back."""
-        from repro.vectorized import DMAMRoundKernel
-
-        kernel = DMAMRoundKernel()
-        assert kernel.supports(PlanarityDMAMProtocol())
-        assert kernel.supports(PlanarityDMAMProtocol(field_prime=251))
-        # a prime between 2**31 and the Mersenne prime: direct int64
-        # multiplication could overflow, so the reference path decides
-        assert not kernel.supports(
-            PlanarityDMAMProtocol(field_prime=2147483659))
+    @pytest.mark.parametrize("prime", [251, 2147483659, FIELD_PRIME])
+    def test_every_prime_decides_alike_on_both_backends(self, prime):
+        """Any prime runs the one reference round: a small field, one above
+        2**31 (where int64 products of residues would overflow) and the
+        default Mersenne prime decide identically under both backends."""
+        protocol = PlanarityDMAMProtocol(field_prime=prime)
+        counts = []
+        for backend in ("vectorized", "reference"):
+            engine = SimulationEngine(backend=backend)
+            network = engine.network_for(
+                nonplanar_cheating_instance(16, seed=7), seed=7)
+            prover = CheatingDMAMProver(protocol, network)
+            estimate = engine.estimate_soundness_error(
+                protocol, network, trials=20, seed=2020,
+                first=prover.first_messages(),
+                second_strategy=prover.second_strategy())
+            assert engine.backend_counters["kernel_calls"] == 0
+            counts.append(estimate.accepting_counts)
+        assert counts[0] == counts[1]
 
     def test_field_prime_validation(self):
         with pytest.raises(ValueError):
@@ -560,5 +568,4 @@ class TestCampaign:
             second_strategy=prover.second_strategy())
         _assert_trace_integrity(traced)
         names = {span.name for span in traced.spans}
-        assert "kernel:planarity-dmam" in names
         assert "interactive_round" in names

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
@@ -200,6 +201,18 @@ class TestTreeScheme:
     def test_prover_rejects_graphs_with_cycles(self):
         with pytest.raises(NotInClassError):
             certify_and_verify(TreeScheme(), cycle_graph(4), seed=1)
+
+    def test_prove_is_linear_on_a_deep_tree(self):
+        """A path rooted at one end is a tree of depth n - 1: building its
+        labels must not walk every node's parent chain (that took ~10 s at
+        this size; one pass takes well under a second)."""
+        network = Network(path_graph(10_000), seed=1)
+        start = time.perf_counter()
+        labels = TreeScheme().prove(network)
+        elapsed = time.perf_counter() - start
+        assert sorted(label.distance for label in labels.values()) == \
+            list(range(10_000))
+        assert elapsed < 1.0, f"tree-pls prove took {elapsed:.2f} s"
 
     def test_soundness_on_cycle(self):
         """A spanning-tree labelling of a cycle leaves one non-tree edge: rejected."""

@@ -156,6 +156,27 @@ class TestRules:
             '''})
         assert code == 1 and "pkg.mod.helper" in out
 
+    def test_name_a_benchmark_defines_itself_reaches_nothing(self, check):
+        """A bare ``foo`` in a file that defines its own ``foo`` at top level
+        calls that definition, not the library's."""
+        code, out = check({
+            "src/pkg/__init__.py": "",
+            "src/pkg/mod.py": """\
+                def foo():
+                    return 1
+                """,
+            "benchmarks/bench.py": """\
+                def foo():
+                    return 2
+
+
+                print(foo())
+                """,
+        })
+        assert code == 1
+        assert out.splitlines() == [
+            "unreached outside tests: src/pkg/mod.py:1: pkg.mod.foo"]
+
     def test_use_from_another_src_module_reaches(self, check):
         code, out = check({**LIBRARY, "src/pkg/user.py": """\
             from pkg.mod import helper

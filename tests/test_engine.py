@@ -382,7 +382,7 @@ class TestStreamingRule:
         assert counters["fallback_nodes"] > 0
         assert counters["reference_calls"] == 0
 
-    def test_round_kernel_flagged_node_redecide_streams(self, monkeypatch):
+    def test_unrepresentable_second_message_round_streams(self, monkeypatch):
         _, network, _ = self._planarity()
         protocol, first, second, challenges = self._dmam_round(network)
         second[sorted(second, key=repr)[0]] = "garbage"  # unrepresentable
@@ -393,10 +393,11 @@ class TestStreamingRule:
         count, names, _ = _traced(lambda: engine.count_accepting_interactive(
             protocol, network, first, second, challenges,
             prepared=engine.interactive_prepared(protocol, network, first)))
-        assert count == reference
+        assert count == reference < network.size
         assert "view_materialize" not in names
-        assert engine.backend_counters["fallback_nodes"] > 0
-        assert engine.backend_counters["reference_calls"] == 0
+        # no round kernel: the whole round is one streamed reference pass
+        assert engine.backend_counters["kernel_calls"] == 0
+        assert engine.backend_counters["reference_calls"] == 1
 
 
 def _square(value: int) -> int:

@@ -21,7 +21,6 @@ from repro.graphs.graph import Graph
 from repro.graphs.spanning_tree import (
     RootedTree,
     bfs_spanning_tree,
-    cotree_edges,
     dfs_spanning_tree,
 )
 from repro.graphs.traversal import bfs_parents, dfs_parents
@@ -97,17 +96,27 @@ class TestRootedTree:
         assert len(tree.edges()) == 5
         assert tree.has_edge(0, 3) and not tree.has_edge(1, 2)
 
+    def test_depth_equals_parent_chain_length(self):
+        """Depths come from one pass down the children lists; each must
+        equal the hop count of the node's parent chain to the root."""
+        for seed in range(5):
+            graph = random_tree(60, seed=seed)
+            for builder in (bfs_spanning_tree, dfs_spanning_tree):
+                tree = builder(graph, seed)
+                for node in tree.nodes():
+                    hops, walk = 0, node
+                    while tree.parent(walk) is not None:
+                        walk, hops = tree.parent(walk), hops + 1
+                    assert walk == tree.root
+                    assert tree.depth(node) == hops
+        with pytest.raises(GraphError):
+            tree.depth("not a node")
+
     def test_invalid_parent_pointers_rejected(self):
         with pytest.raises(GraphError):
             RootedTree(0, {1: 2, 2: 1, 0: None})
         with pytest.raises(GraphError):
             RootedTree(0, {1: 3, 2: 1, 3: 2})
-
-    def test_cotree_edges(self):
-        graph = cycle_graph(5)
-        tree = bfs_spanning_tree(graph, 0)
-        extra = cotree_edges(graph, tree)
-        assert len(extra) == 1
 
 
 class TestDegeneracy:

@@ -89,13 +89,6 @@ class TestRoundTrip:
             block = [indexed.labels[j] for j in indexed.neighbors_of(i)]
             assert block == sorted(block, key=repr)
 
-    def test_edges_indexed_covers_every_edge_once(self):
-        graph = heterogeneous_graph()
-        indexed = graph.indexed()
-        edges = list(indexed.edges_indexed())
-        assert len(edges) == graph.number_of_edges()
-        assert all(i < j for i, j in edges)
-
     def test_index_unknown_label_raises(self):
         indexed = heterogeneous_graph().indexed()
         with pytest.raises(GraphError):

@@ -203,17 +203,16 @@ class TestRegistryBehaviour:
             registry.register_kernel("planarity-pls", NonStringCoverage())
         assert registry.kernel("planarity-pls") is None
 
-    def test_every_builtin_scheme_has_kernel_coverage(self):
-        """PR 6 completes the backend-support matrix: every registered
-        scheme — all seven rows — ships a kernel with a declared coverage."""
+    def test_every_builtin_pls_scheme_has_kernel_coverage(self):
+        """Every registered proof-labeling scheme — six rows — ships a
+        kernel with a declared coverage; the interactive dMAM has none."""
         registry = default_registry()
+        pls = EXPECTED_NAMES - {"planarity-dmam"}
         assert {name for name in registry.names()
-                if registry.kernel(name) is not None} == EXPECTED_NAMES
-        coverages = {name: registry.kernel_coverage(name)
-                     for name in EXPECTED_NAMES}
-        assert all(coverages.values())
-        assert coverages["planarity-dmam"] == "round"
-        assert set(coverages.values()) <= {"full", "prefilter", "round"}
+                if registry.kernel(name) is not None} == pls
+        coverages = {name: registry.kernel_coverage(name) for name in pls}
+        assert set(coverages.values()) == {"full"}
+        assert registry.kernel_coverage("planarity-dmam") is None
 
     def test_planarity_kernel_is_full_coverage(self):
         """PR 5's contract flip, pinned: the planarity kernel is a full

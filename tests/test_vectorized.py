@@ -59,7 +59,7 @@ def yes_instance(name: str):
 
 def pls_kernel_names():
     """Kernel-backed schemes with a ``prove``/``verify`` pair (the fuzz
-    subjects; the interactive dMAM round kernel is exercised separately)."""
+    subjects)."""
     registry = default_registry()
     return sorted(name for name in registry.names(kind="pls")
                   if registry.kernel(name) is not None)
@@ -82,7 +82,7 @@ class TestKernelRegistry:
         assert sorted(name for name in registry.names()
                       if registry.kernel(name) is not None) == [
             "non-planarity-pls", "path-graph-pls", "path-outerplanarity-pls",
-            "planarity-dmam", "planarity-pls", "tree-pls", "universal-map-pls"]
+            "planarity-pls", "tree-pls", "universal-map-pls"]
 
     def test_kernel_for_resolves_exact_schemes_only(self):
         registry = default_registry()
@@ -92,18 +92,14 @@ class TestKernelRegistry:
                           NonPlanarityKernel)
         assert isinstance(registry.kernel_for(PlanarityScheme()), PlanarityKernel)
         from repro.core.po_scheme import PathOuterplanarScheme
-        from repro.vectorized import (
-            DMAMRoundKernel,
-            PathOuterplanarKernel,
-            UniversalMapKernel,
-        )
+        from repro.vectorized import PathOuterplanarKernel, UniversalMapKernel
 
         assert isinstance(registry.kernel_for(PathOuterplanarScheme()),
                           PathOuterplanarKernel)
         assert isinstance(registry.kernel_for(
             registry.create("universal-map-pls")), UniversalMapKernel)
-        assert isinstance(registry.kernel_for(
-            registry.create("planarity-dmam")), DMAMRoundKernel)
+        # the interactive dMAM has no kernel: its rounds run the reference loop
+        assert registry.kernel_for(registry.create("planarity-dmam")) is None
 
         class SubclassedTree(TreeScheme):
             """Could override verify; must never be served by the kernel."""
@@ -772,8 +768,10 @@ class TestBatchedSweeps:
         assert not engine._batched_contexts
 
 
-class TestInteractiveRoundKernel:
-    """The dMAM verification round through the vectorized backend."""
+class TestInteractiveRoundAcrossBackends:
+    """The dMAM verification round has no kernel: under the vectorized
+    backend every challenge draw is one reference pass, deciding exactly as
+    the reference backend does."""
 
     def test_estimate_soundness_matches_reference_honest(self):
         proto = default_registry().create("planarity-dmam")
@@ -785,7 +783,8 @@ class TestInteractiveRoundKernel:
             proto, network, trials=5, seed=3)
         assert estimate == reference
         counters = vectorized.backend_counters
-        assert counters["kernel_calls"] == 5          # one per challenge draw
+        assert counters["kernel_calls"] == 0
+        assert counters["reference_calls"] == 5       # one per challenge draw
         assert counters["fallback_nodes"] == 0
 
     def test_estimate_soundness_matches_reference_dishonest(self):
@@ -810,7 +809,7 @@ class TestInteractiveRoundKernel:
             proto, network, trials=5, seed=3, second_strategy=strategy)
         assert vectorized == reference
 
-    def test_unrepresentable_second_message_falls_back(self):
+    def test_unrepresentable_second_message_rejects(self):
         proto = default_registry().create("planarity-dmam")
         network = Network(delaunay_planar_graph(12, seed=6), seed=6)
         engine = SimulationEngine(backend="vectorized")
@@ -825,8 +824,8 @@ class TestInteractiveRoundKernel:
             proto, network, first, second, challenges, prepared=prepared)
         reference = SimulationEngine(backend="reference").count_accepting_interactive(
             proto, network, first, second, challenges, prepared=prepared)
-        assert count == reference
-        assert engine.backend_counters["fallback_nodes"] > 0
+        assert count == reference < network.size
+        assert engine.backend_counters["fallback_nodes"] == 0
 
     def test_transcripts_identical_across_backends(self):
         proto = default_registry().create("planarity-dmam")
